@@ -118,11 +118,11 @@ pub fn superlevel_set<F: BoundedField>(
     let mut out = RegionSet::new();
     let mut stats = BnbStats::default();
     recurse(field, tau, cfg, &field.domain(), &mut out, &mut stats);
-    out.coalesce();
+    out.canonicalize();
     (out, stats)
 }
 
-fn recurse<F: BoundedField>(
+pub(crate) fn recurse<F: BoundedField>(
     field: &F,
     tau: f64,
     cfg: &BnbConfig,

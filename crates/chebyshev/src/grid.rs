@@ -106,17 +106,16 @@ impl PolyGrid {
     }
 
     /// The region where the field is at least `tau`: per-tile
-    /// branch-and-bound, unioned. Returns the region and the summed
-    /// [`crate::BnbStats`] node accounting across every tile.
+    /// branch-and-bound, unioned and canonicalized once. Returns the
+    /// region and the summed [`crate::BnbStats`] node accounting across
+    /// every tile.
     pub fn superlevel_set(&self, tau: f64, cfg: &BnbConfig) -> (RegionSet, crate::BnbStats) {
         let mut out = RegionSet::new();
         let mut stats = crate::BnbStats::default();
         for cell in self.cells.iter() {
-            let (r, s) = crate::superlevel_set(cell, tau, cfg);
-            stats += s;
-            out.extend_from(&r);
+            crate::bnb::recurse(cell, tau, cfg, &cell.domain(), &mut out, &mut stats);
         }
-        out.coalesce();
+        out.canonicalize();
         (out, stats)
     }
 

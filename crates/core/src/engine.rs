@@ -44,8 +44,10 @@ use pdr_storage::{CostModel, FaultPlan, FaultStats, IoStats, StorageError};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// Coalesce cadence for the default interval-query implementation
-/// (mirrors [`INTERVAL_COALESCE_EVERY`](crate::INTERVAL_COALESCE_EVERY)).
+/// How many snapshots the default interval query folds into its running
+/// union between canonicalizations: large enough to amortize the sweep,
+/// small enough that the union never holds more than a handful of
+/// snapshots' rectangles.
 const DEFAULT_INTERVAL_COALESCE_EVERY: u32 = 4;
 
 /// One engine's answer to a PDR query, in units every method shares.
@@ -182,16 +184,16 @@ pub trait DensityEngine: Send + Sync {
     /// override it.
     fn interval_query(&self, rho: f64, l: f64, from: Timestamp, to: Timestamp) -> RegionSet {
         let mut acc = RegionSet::new();
-        let mut since_coalesce = 0u32;
+        let mut since_canonical = 0u32;
         for t in from..=to {
             let ans = self.query(&PdrQuery::new(rho, l, t));
             for r in ans.regions.rects() {
                 acc.push(*r);
             }
-            since_coalesce += 1;
-            if since_coalesce >= DEFAULT_INTERVAL_COALESCE_EVERY {
+            since_canonical += 1;
+            if since_canonical >= DEFAULT_INTERVAL_COALESCE_EVERY {
                 acc.canonicalize();
-                since_coalesce = 0;
+                since_canonical = 0;
             }
         }
         acc.canonicalize();
@@ -401,10 +403,6 @@ impl<I: RangeIndex> DensityEngine for FrEngine<I> {
 
     fn fault_stats(&self) -> FaultStats {
         FrEngine::fault_stats(self)
-    }
-
-    fn interval_query(&self, rho: f64, l: f64, from: Timestamp, to: Timestamp) -> RegionSet {
-        FrEngine::interval_query(self, rho, l, from, to)
     }
 
     fn stats(&self) -> EngineStats {

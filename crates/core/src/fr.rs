@@ -132,7 +132,7 @@ impl ClassificationCache {
 }
 
 /// FR-side instrumentation: per-stage latency (filter classification,
-/// per-cell range queries, plane sweeps, final merge/coalesce) and cell
+/// per-cell range queries, plane sweeps, final canonical merge) and cell
 /// accounting. Histograms record through `&self` with atomics, so the
 /// refinement workers — which share the engine across scoped threads —
 /// feed the same histograms without synchronization beyond the atomic
@@ -587,16 +587,11 @@ impl<I: RangeIndex> FrEngine<I> {
         };
         let threshold = DenseThreshold::of(q);
 
-        let mut regions = RegionSet::new();
-        for cell in cls.cells_of(CellClass::Accept) {
-            regions.push(grid.cell_rect(cell));
-        }
-
         self.tree.reset_io_stats();
         let candidates: Vec<CellId> = cls.cells_of(CellClass::Candidate).collect();
         let workers = self.worker_count(candidates.len());
         let obs = enabled.then_some(&*self.obs);
-        let (rects, objects_retrieved, io) = if workers <= 1 {
+        let (mut rects, objects_retrieved, io) = if workers <= 1 {
             refine_chunk(&*self.tree, grid, &candidates, q, threshold, obs)?
         } else {
             // Chunking is a pure function of (workers, candidates), and
@@ -626,16 +621,17 @@ impl<I: RangeIndex> FrEngine<I> {
             }
             (rects, retrieved, io)
         };
-        {
+        let regions = {
             let _t = self.obs.merge_time.timer(enabled);
-            for r in rects {
-                regions.push(r);
-            }
-            // Canonical (exact) compaction, not the ε-tolerant coalesce:
-            // the exact answer must be a pure function of the dense point
+            // Accepted cells join the refined rects' buffer, which
+            // `from_rects` reuses: no second copy of the answer.
+            rects.extend(cls.cells_of(CellClass::Accept).map(|c| grid.cell_rect(c)));
+            let mut regions = RegionSet::from_rects(rects);
+            // The exact answer must be a pure function of the dense point
             // set so that a sharded plane reproduces it rect-for-rect.
             regions.canonicalize();
-        }
+            regions
+        };
         self.obs.queries.inc();
         if enabled {
             self.obs.accepted_cells.add(cls.accept_count() as u64);
@@ -655,7 +651,7 @@ impl<I: RangeIndex> FrEngine<I> {
     }
 
     /// Filter-only degraded answer for `q`: the optimistic DH answer
-    /// (accept ∪ candidate cells, coalesced) computed purely from the
+    /// (accept ∪ candidate cells, canonicalized) computed purely from the
     /// in-memory histogram. Never touches the index, so it succeeds even
     /// when the storage plane is persistently failing. The answer is a
     /// superset of the exact one (no false negatives) but may include
@@ -673,39 +669,6 @@ impl<I: RangeIndex> FrEngine<I> {
             io: IoStats::default(),
             cpu: start.elapsed(),
         }
-    }
-
-    /// Interval PDR query (Definition 5): the union of snapshot answers
-    /// over `q_t ∈ [from, to]`.
-    ///
-    /// Snapshot rectangles accumulate in one reused scratch buffer and
-    /// are folded into the result with an incremental coalesce every
-    /// [`INTERVAL_COALESCE_EVERY`] timestamps, keeping the working set
-    /// proportional to a few snapshots instead of the whole interval.
-    /// The per-timestamp classification cache makes the repeated filter
-    /// passes O(1) after the first visit of each timestamp.
-    pub fn interval_query(&self, rho: f64, l: f64, from: Timestamp, to: Timestamp) -> RegionSet {
-        assert!(from <= to, "empty interval");
-        let mut out = RegionSet::new();
-        let mut scratch: Vec<Rect> = Vec::new();
-        let mut pending = 0u32;
-        for t in from..=to {
-            let ans = self.query(&PdrQuery::new(rho, l, t));
-            scratch.extend_from_slice(ans.regions.rects());
-            pending += 1;
-            if pending == INTERVAL_COALESCE_EVERY {
-                for r in scratch.drain(..) {
-                    out.push(r);
-                }
-                out.canonicalize();
-                pending = 0;
-            }
-        }
-        for r in scratch.drain(..) {
-            out.push(r);
-        }
-        out.canonicalize();
-        out
     }
 
     /// Serializes the engine's durable state into a sealed, checksummed
@@ -1012,12 +975,6 @@ impl<I: RangeIndex> FrEngine<I> {
     }
 }
 
-/// How many snapshots an interval query buffers before folding them
-/// into the running union: large enough to amortize the coalesce, small
-/// enough that the scratch buffer never holds more than a handful of
-/// snapshots' rectangles.
-pub const INTERVAL_COALESCE_EVERY: u32 = 4;
-
 /// Refines one contiguous chunk of candidate cells: per cell, a range
 /// query over the `l/2`-inflated cell followed by the plane sweep.
 /// One refinement chunk's yield: dense rectangles, objects retrieved,
@@ -1063,9 +1020,25 @@ fn refine_chunk<I: RangeIndex>(
                 u64::from(hits.capacity() != caps.0) + u64::from(positions.capacity() != caps.1),
             );
         }
-        rects.extend(refine_region(&target, &mut positions, threshold, q.l));
+        rects.extend_from_slice(refine_cell(&target, &mut positions, threshold, q.l).rects());
     }
     Ok((rects, retrieved, io))
+}
+
+/// One candidate cell's dense region, canonicalized. The sweep emits a
+/// sliver per (x-strip, y-segment), about a hundred times the cell's
+/// canonical size, and callers hold many cells' worth at once; the
+/// union of canonical cells canonicalizes to the same list as the
+/// union of their slivers.
+fn refine_cell(
+    target: &Rect,
+    positions: &mut [Point],
+    threshold: DenseThreshold,
+    l: f64,
+) -> RegionSet {
+    let mut cell = RegionSet::from_rects(refine_region(target, positions, threshold, l));
+    cell.canonicalize();
+    cell
 }
 
 /// One maintenance chunk's yield: each cell's rectangles separately
@@ -1101,8 +1074,8 @@ fn refine_cells<I: RangeIndex>(
         let _t = obs.map(|o| o.sweep_time.timer(true));
         positions.clear();
         positions.extend(hits.iter().map(|&(_, p)| p));
-        let rects: Vec<Rect> = refine_region(&target, &mut positions, threshold, q.l);
-        out.push((grid.linear_index(cell), rects));
+        let rects = refine_cell(&target, &mut positions, threshold, q.l);
+        out.push((grid.linear_index(cell), rects.rects().to_vec()));
     }
     Ok((out, retrieved, io))
 }
@@ -1110,7 +1083,7 @@ fn refine_cells<I: RangeIndex>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{accuracy, ExactOracle};
+    use crate::{accuracy, DensityEngine, ExactOracle};
     use pdr_geometry::Rect;
 
     fn cfg() -> FrConfig {

@@ -31,8 +31,8 @@ use pdr_geometry::{Point, Rect, RegionSet};
 /// Borrowing callers go through [`refine_region_set`], which pays the
 /// one copy explicitly.
 ///
-/// Returns half-open `[lo, hi)` rectangles, not yet coalesced (callers
-/// merging several cells coalesce once at the end).
+/// Returns half-open `[lo, hi)` rectangles, not yet canonicalized
+/// (callers merging several cells canonicalize once at the end).
 pub fn refine_region(
     target: &Rect,
     objects: &mut [Point],
@@ -148,7 +148,7 @@ fn sweep_y(
     }
 }
 
-/// Convenience wrapper over borrowed positions returning a coalesced
+/// Convenience wrapper over borrowed positions returning a canonical
 /// [`RegionSet`]. This is the one place that copies the slice.
 pub fn refine_region_set(
     target: &Rect,
@@ -158,7 +158,7 @@ pub fn refine_region_set(
 ) -> RegionSet {
     let mut owned = objects.to_vec();
     let mut rs = RegionSet::from_rects(refine_region(target, &mut owned, threshold, l));
-    rs.coalesce();
+    rs.canonicalize();
     rs
 }
 

@@ -10,12 +10,12 @@
 //! ```
 //!
 //! where `D` is the true dense region and `D'` the region a method
-//! reports. [`RegionSet`] supports exactly these measures via a vertical
-//! slab sweep: the union of distinct X coordinates of both operand sets
-//! cuts the plane into slabs inside which membership along Y is constant,
-//! so each slab reduces to 1-D [`IntervalSet`] arithmetic.
+//! reports. One exact vertical slab sweep serves both these measures and
+//! the canonical compaction of answers: the distinct X coordinates of the
+//! operands cut the plane into slabs inside which membership along Y is
+//! constant, so each slab reduces to one sorted list of maximal Y-runs.
 
-use crate::{Interval, IntervalSet, Point, Rect, EPS};
+use crate::{Point, Rect};
 use std::fmt;
 
 /// A union of axis-aligned rectangles, treated as a point set with
@@ -24,8 +24,8 @@ use std::fmt;
 /// The representation is a plain list of rectangles — possibly
 /// overlapping, possibly abutting. All measure operations are computed on
 /// the *union*, so duplicates and overlaps are harmless for correctness;
-/// [`coalesce`](RegionSet::coalesce) can be used to compact long strips
-/// produced by the plane-sweep refinement.
+/// [`canonicalize`](RegionSet::canonicalize) compacts the long strips
+/// produced by the plane-sweep refinement into a canonical list.
 #[derive(Clone, Default, PartialEq)]
 pub struct RegionSet {
     rects: Vec<Rect>,
@@ -85,17 +85,19 @@ impl RegionSet {
 
     /// Area of the union of all stored rectangles.
     pub fn area(&self) -> f64 {
-        slab_sweep(self, None, Mode::SelfArea)
+        slab_integral(&self.rects, &[], |a, _| measure(a))
     }
 
     /// Area of `self ∩ other` (as point sets).
     pub fn intersection_area(&self, other: &RegionSet) -> f64 {
-        slab_sweep(self, Some(other), Mode::Intersection)
+        slab_integral(&self.rects, &other.rects, overlap)
     }
 
     /// Area of `self \ other` (as point sets).
     pub fn difference_area(&self, other: &RegionSet) -> f64 {
-        slab_sweep(self, Some(other), Mode::Difference)
+        slab_integral(&self.rects, &other.rects, |a, b| {
+            (measure(a) - overlap(a, b)).max(0.0)
+        })
     }
 
     /// Area of `self ∪ other`.
@@ -109,94 +111,55 @@ impl RegionSet {
         self.difference_area(other) + other.difference_area(self)
     }
 
-    /// Merges vertically-abutting rectangles that share the same X extent,
-    /// then horizontally-abutting ones sharing the same Y extent. The
-    /// plane-sweep refinement emits one rectangle per (x-strip, y-segment)
-    /// pair; coalescing typically shrinks its output by an order of
-    /// magnitude without changing the point set.
-    pub fn coalesce(&mut self) {
-        merge_axis(&mut self.rects, /*vertical=*/ true);
-        merge_axis(&mut self.rects, /*vertical=*/ false);
-    }
-
     /// Rewrites the set into its *canonical maximal-slab decomposition*:
     /// disjoint rectangles, each spanning a maximal X-run over which the
     /// union's Y-cross-section is one fixed maximal interval, sorted by
     /// `(x_lo, y_lo)`.
     ///
     /// The result depends only on the union **as a point set** — not on
-    /// how it was cut into rectangles. This is the property the sharded
-    /// engine plane relies on: [`coalesce`](RegionSet::coalesce) is *not*
-    /// confluent under re-cutting (merging cells `[0,1]×[0,1]`,
-    /// `[1,2]×[0,1]`, `[1,2]×[1,2]` vertically-first joins a different
-    /// pair depending on which shard cut separated them), whereas two
-    /// canonicalized sets covering the same points are bit-identical
-    /// rectangle lists. All comparisons are exact (`f64::total_cmp`), no
+    /// how it was cut into rectangles — so two canonicalized sets
+    /// covering the same points are bit-identical rectangle lists. The
+    /// sharded engine plane relies on this to reproduce the unsharded
+    /// answer from per-shard pieces. All comparisons are exact, no
     /// epsilon: shards hand back coordinates copied from the same
     /// arithmetic the unsharded engine performs.
+    ///
+    /// One slab sweep (`for_each_slab`); a run identical to one of
+    /// the previous slab extends that rectangle (keeping the Y bits of
+    /// the slab that opened it), every other run opens a new one. Both
+    /// run lists are sorted, so matching is a merge-walk.
     pub fn canonicalize(&mut self) {
         self.rects.retain(|r| !r.is_degenerate());
-        if self.rects.len() < 2 {
-            self.rects
-                .sort_by(|a, b| a.x_lo.total_cmp(&b.x_lo).then(a.y_lo.total_cmp(&b.y_lo)));
-            return;
-        }
-        let mut xs: Vec<f64> = Vec::with_capacity(2 * self.rects.len());
-        for r in &self.rects {
-            xs.push(r.x_lo);
-            xs.push(r.x_hi);
-        }
-        xs.sort_by(f64::total_cmp);
-        xs.dedup_by(|a, b| a.total_cmp(b).is_eq());
-
         let mut out: Vec<Rect> = Vec::new();
         // Rectangles still extendable rightward (their y-run persisted
-        // through the previous slab).
+        // through the previous slab), sorted by y.
         let mut open: Vec<Rect> = Vec::new();
-        let mut spans: Vec<(f64, f64)> = Vec::new();
-        for w in xs.windows(2) {
-            let (x0, x1) = (w[0], w[1]);
-            if x0 >= x1 {
-                continue; // e.g. the zero-width -0.0 / +0.0 slab
-            }
-            // Maximal disjoint Y-runs of the union inside this slab.
-            spans.clear();
-            spans.extend(
-                self.rects
-                    .iter()
-                    .filter(|r| r.x_lo <= x0 && x0 < r.x_hi)
-                    .map(|r| (r.y_lo, r.y_hi)),
-            );
-            spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
-            let mut runs: Vec<(f64, f64)> = Vec::with_capacity(spans.len());
-            for &(lo, hi) in &spans {
-                match runs.last_mut() {
-                    // Half-open semantics: overlapping *or* abutting runs merge.
-                    Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
-                    _ => runs.push((lo, hi)),
-                }
-            }
-            // Extend a surviving identical run across the slab boundary,
-            // otherwise open a fresh rectangle; unmatched leftovers close.
-            let mut next_open: Vec<Rect> = Vec::with_capacity(runs.len());
-            for &(lo, hi) in &runs {
-                let carried = open
-                    .iter()
-                    .position(|r| r.x_hi == x0 && r.y_lo == lo && r.y_hi == hi);
-                match carried {
-                    Some(i) => {
-                        let mut r = open.swap_remove(i);
-                        r.x_hi = x1;
-                        next_open.push(r);
+        let mut next_open: Vec<Rect> = Vec::new();
+        for_each_slab(
+            std::mem::take(&mut self.rects),
+            Vec::new(),
+            |x0, x1, runs, _| {
+                let mut j = 0;
+                for &(lo, hi) in runs {
+                    while j < open.len() && open[j].y_lo < lo {
+                        out.push(open[j]);
+                        j += 1;
                     }
-                    None => next_open.push(Rect::new(x0, lo, x1, hi)),
+                    match open.get(j) {
+                        Some(r) if r.y_lo == lo && r.y_hi == hi => {
+                            next_open.push(Rect { x_hi: x1, ..*r });
+                            j += 1;
+                        }
+                        _ => next_open.push(Rect::new(x0, lo, x1, hi)),
+                    }
                 }
-            }
-            out.append(&mut open);
-            open = next_open;
-        }
+                out.extend_from_slice(&open[j..]);
+                open.clear();
+                std::mem::swap(&mut open, &mut next_open);
+            },
+        );
         out.append(&mut open);
-        out.sort_by(|a, b| a.x_lo.total_cmp(&b.x_lo).then(a.y_lo.total_cmp(&b.y_lo)));
+        out.sort_unstable_by(|a, b| a.x_lo.total_cmp(&b.x_lo).then(a.y_lo.total_cmp(&b.y_lo)));
         self.rects = out;
     }
 
@@ -239,114 +202,158 @@ impl FromIterator<Rect> for RegionSet {
     }
 }
 
-enum Mode {
-    SelfArea,
-    Intersection,
-    Difference,
+/// Calls `f(x0, x1, runs of a, runs of b)` for every slab between
+/// consecutive distinct X coordinates of both operands, left to right.
+/// Distinct means `total_cmp`-distinct, so `-0.0` and `+0.0` are two
+/// edges and the zero-width slab between them is skipped. Within a slab
+/// each operand's Y footprint is fixed: its maximal Y-runs.
+fn for_each_slab<F>(a: Vec<Rect>, b: Vec<Rect>, mut f: F)
+where
+    F: FnMut(f64, f64, &[(f64, f64)], &[(f64, f64)]),
+{
+    let (mut sa, mut sb) = (Sweep::new(a), Sweep::new(b));
+    let first = |s: &Sweep| s.by_x_lo.first().map(|r| r.x_lo);
+    let mut edge = min_edge(first(&sa), first(&sb));
+    while let Some(x0) = edge {
+        edge = min_edge(sa.advance(x0), sb.advance(x0));
+        match edge {
+            Some(x1) if x0 < x1 => f(x0, x1, &sa.runs, &sb.runs),
+            _ => {}
+        }
+    }
 }
 
-/// Vertical slab sweep over the union of X-event coordinates of both
-/// operands. Within a slab, each operand's footprint along Y is a fixed
-/// union of intervals, so the slab's contribution is
-/// `slab_width × measure(interval-set expression)`.
-fn slab_sweep(a: &RegionSet, b: Option<&RegionSet>, mode: Mode) -> f64 {
-    let mut xs: Vec<f64> = Vec::with_capacity(2 * (a.len() + b.map_or(0, RegionSet::len)));
-    for r in &a.rects {
-        xs.push(r.x_lo);
-        xs.push(r.x_hi);
-    }
-    if let Some(b) = b {
-        for r in &b.rects {
-            xs.push(r.x_lo);
-            xs.push(r.x_hi);
-        }
-    }
-    if xs.is_empty() {
-        return 0.0;
-    }
-    xs.sort_by(f64::total_cmp);
-    xs.dedup_by(|x, y| (*x - *y).abs() <= EPS);
+/// The smaller of two optional edges in `total_cmp` order.
+fn min_edge(a: Option<f64>, b: Option<f64>) -> Option<f64> {
+    a.into_iter().chain(b).min_by(f64::total_cmp)
+}
 
-    let mut total = 0.0;
-    for w in xs.windows(2) {
-        let (x0, x1) = (w[0], w[1]);
-        let width = x1 - x0;
-        if width <= 0.0 {
-            continue;
+/// A rectangle's Y-extent while it crosses the sweep line:
+/// `(y_lo, y_hi, x_hi)`.
+type Span = (f64, f64, f64);
+
+fn by_y(a: &Span, b: &Span) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1))
+}
+
+/// Exact vertical sweep over one rectangle list. Moved left to right
+/// through slab edges, it keeps the *active* rectangles — those with
+/// `x_lo <= x0 < x_hi` at the slab's left edge `x0` — sorted by
+/// `(y_lo, y_hi)`, so each slab's maximal disjoint Y-runs of the union
+/// come from one linear pass. Rectangles enter from a list sorted by
+/// `x_lo` and leave once `x_hi <= x0`; the edges themselves come from
+/// the same two lists, so no separate coordinate array is built.
+struct Sweep {
+    by_x_lo: Vec<Rect>,
+    entered: usize,
+    active: Vec<Span>,
+    entering: Vec<Span>,
+    runs: Vec<(f64, f64)>,
+}
+
+impl Sweep {
+    fn new(mut rects: Vec<Rect>) -> Self {
+        rects.sort_unstable_by(|a, b| a.x_lo.total_cmp(&b.x_lo));
+        Sweep {
+            by_x_lo: rects,
+            entered: 0,
+            active: Vec::new(),
+            entering: Vec::new(),
+            runs: Vec::new(),
         }
-        let mid = 0.5 * (x0 + x1);
-        let ya = slab_intervals(a, mid);
-        let contribution = match mode {
-            Mode::SelfArea => ya.measure(),
-            Mode::Intersection => {
-                let yb = slab_intervals(b.expect("binary mode needs rhs"), mid);
-                ya.intersection(&yb).measure()
+    }
+
+    /// Moves the sweep line to `x0` (increasing across calls), leaves
+    /// the union's maximal Y-runs there in `runs` (sorted, disjoint;
+    /// overlapping *or* abutting spans merge under half-open
+    /// semantics), and returns this operand's next edge after `x0`.
+    fn advance(&mut self, x0: f64) -> Option<f64> {
+        let start = self.entered;
+        while self.entered < self.by_x_lo.len() && self.by_x_lo[self.entered].x_lo <= x0 {
+            self.entered += 1;
+        }
+        // Edges beyond `x0` in total order: the first pending `x_lo`,
+        // an `x_lo` IEEE-equal to `x0` but above it (`+0.0` entering at
+        // `-0.0`), and the `x_hi` of every rectangle active at `x0`.
+        let scan = (self.entered + 1).min(self.by_x_lo.len());
+        let mut next = self.by_x_lo[start..scan]
+            .iter()
+            .map(|r| r.x_lo)
+            .find(|x| x.total_cmp(&x0).is_gt());
+        self.entering.clear();
+        self.entering.extend(
+            self.by_x_lo[start..self.entered]
+                .iter()
+                .map(|r| (r.y_lo, r.y_hi, r.x_hi)),
+        );
+        self.entering.sort_unstable_by(by_y);
+        merge_sorted(&mut self.active, &self.entering);
+        self.active.retain(|s| {
+            if s.2.total_cmp(&x0).is_gt() {
+                next = min_edge(next, Some(s.2));
             }
-            Mode::Difference => {
-                let yb = slab_intervals(b.expect("binary mode needs rhs"), mid);
-                ya.difference_measure(&yb)
+            x0 < s.2
+        });
+
+        self.runs.clear();
+        for &(lo, hi, _) in &self.active {
+            match self.runs.last_mut() {
+                Some(last) if lo <= last.1 => last.1 = last.1.max(hi),
+                _ => self.runs.push((lo, hi)),
             }
-        };
-        total += width * contribution;
+        }
+        next
+    }
+}
+
+/// Merges the sorted `extra` into the sorted `into`, in place from the
+/// back.
+fn merge_sorted(into: &mut Vec<Span>, extra: &[Span]) {
+    let (mut i, mut j) = (into.len(), extra.len());
+    into.resize(i + j, (0.0, 0.0, 0.0));
+    while j > 0 {
+        let w = i + j - 1;
+        if i > 0 && by_y(&into[i - 1], &extra[j - 1]).is_gt() {
+            i -= 1;
+            into[w] = into[i];
+        } else {
+            j -= 1;
+            into[w] = extra[j];
+        }
+    }
+}
+
+/// Total length of sorted disjoint runs.
+fn measure(runs: &[(f64, f64)]) -> f64 {
+    runs.iter().map(|&(lo, hi)| hi - lo).sum()
+}
+
+/// Length of the overlap of two sorted disjoint run lists.
+fn overlap(a: &[(f64, f64)], b: &[(f64, f64)]) -> f64 {
+    let (mut i, mut j, mut total) = (0, 0, 0.0);
+    while i < a.len() && j < b.len() {
+        let (lo, hi) = (a[i].0.max(b[j].0), a[i].1.min(b[j].1));
+        if lo < hi {
+            total += hi - lo;
+        }
+        if a[i].1 <= b[j].1 {
+            i += 1;
+        } else {
+            j += 1;
+        }
     }
     total
 }
 
-/// Y-intervals of all rectangles of `set` whose X-extent covers `x`.
-fn slab_intervals(set: &RegionSet, x: f64) -> IntervalSet {
-    IntervalSet::from_intervals(
-        set.rects
-            .iter()
-            .filter(|r| r.x_lo <= x && x < r.x_hi)
-            .map(|r| Interval::new(r.y_lo, r.y_hi)),
-    )
-}
-
-/// One pass of rectangle merging. With `vertical = true`, merges pairs
-/// that share identical `[x_lo, x_hi]` and abut along Y; otherwise the
-/// transposed condition.
-fn merge_axis(rects: &mut Vec<Rect>, vertical: bool) {
-    if rects.len() < 2 {
-        return;
-    }
-    if vertical {
-        rects.sort_by(|a, b| {
-            a.x_lo
-                .total_cmp(&b.x_lo)
-                .then(a.x_hi.total_cmp(&b.x_hi))
-                .then(a.y_lo.total_cmp(&b.y_lo))
-        });
-    } else {
-        rects.sort_by(|a, b| {
-            a.y_lo
-                .total_cmp(&b.y_lo)
-                .then(a.y_hi.total_cmp(&b.y_hi))
-                .then(a.x_lo.total_cmp(&b.x_lo))
-        });
-    }
-    let mut out: Vec<Rect> = Vec::with_capacity(rects.len());
-    for &r in rects.iter() {
-        match out.last_mut() {
-            Some(last)
-                if vertical
-                    && (last.x_lo - r.x_lo).abs() <= EPS
-                    && (last.x_hi - r.x_hi).abs() <= EPS
-                    && r.y_lo <= last.y_hi + EPS =>
-            {
-                last.y_hi = last.y_hi.max(r.y_hi);
-            }
-            Some(last)
-                if !vertical
-                    && (last.y_lo - r.y_lo).abs() <= EPS
-                    && (last.y_hi - r.y_hi).abs() <= EPS
-                    && r.x_lo <= last.x_hi + EPS =>
-            {
-                last.x_hi = last.x_hi.max(r.x_hi);
-            }
-            _ => out.push(r),
-        }
-    }
-    *rects = out;
+/// `Σ slab width × f(runs of a, runs of b)` over the slabs cut by the X
+/// coordinates of both operands. Within a slab each operand's Y
+/// footprint is fixed, so the integrand is exact.
+fn slab_integral(a: &[Rect], b: &[Rect], f: impl Fn(&[(f64, f64)], &[(f64, f64)]) -> f64) -> f64 {
+    let mut total = 0.0;
+    for_each_slab(a.to_vec(), b.to_vec(), |x0, x1, ra, rb| {
+        total += (x1 - x0) * f(ra, rb)
+    });
+    total
 }
 
 #[cfg(test)]
@@ -421,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_preserves_point_set() {
+    fn canonicalize_merges_cell_block() {
         // A 3x3 block of unit cells, stored cell by cell.
         let mut cells = RegionSet::new();
         for i in 0..3 {
@@ -436,33 +443,20 @@ mod tests {
         }
         let before_area = cells.area();
         let block = rs(&[(0.0, 0.0, 3.0, 3.0)]);
-        cells.coalesce();
-        assert!(
-            cells.len() < 9,
-            "coalesce should merge cells, got {}",
-            cells.len()
-        );
+        cells.canonicalize();
+        assert_eq!(cells.rects(), block.rects(), "the block becomes one rect");
         assert!((cells.area() - before_area).abs() < 1e-12);
         assert!(cells.symmetric_difference_area(&block) < 1e-9);
     }
 
     #[test]
-    fn canonicalize_is_cut_invariant_where_coalesce_is_not() {
-        // The non-confluence counterexample: an L of three unit cells.
-        // Global coalesce (vertical first) joins B+C; a shard cut at
-        // y = 1 keeps C alone and joins A+B horizontally instead. Same
-        // point set, different lists.
-        let a = (0.0, 0.0, 1.0, 1.0);
-        let b = (1.0, 0.0, 2.0, 1.0);
-        let c = (1.0, 1.0, 2.0, 2.0);
-        let mut global = rs(&[a, b, c]);
-        global.coalesce();
-        let mut bottom = rs(&[a, b]);
-        bottom.coalesce();
-        let mut top = rs(&[c]);
-        top.coalesce();
-        let mut recombined = bottom.clone();
-        recombined.extend_from(&top);
+    fn canonicalize_is_cut_invariant() {
+        // An L of three unit cells A=[0,1]², B=[1,2]×[0,1], C=[1,2]².
+        // Merging abutting pairs depends on the cut: unsharded, B+C join
+        // vertically; a shard cut at y = 1 keeps C alone and joins A+B
+        // horizontally instead. Same point set, different lists.
+        let global = rs(&[(0.0, 0.0, 1.0, 1.0), (1.0, 0.0, 2.0, 2.0)]);
+        let recombined = rs(&[(0.0, 0.0, 2.0, 1.0), (1.0, 1.0, 2.0, 2.0)]);
         assert_ne!(global.rects(), recombined.rects(), "premise of the test");
 
         let mut g = global.clone();

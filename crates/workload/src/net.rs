@@ -42,7 +42,10 @@
 //! the prediction window the query looks), not an absolute timestamp —
 //! the server keeps ticking underneath the clients, so absolute times
 //! would go stale in flight. The response's `t` reports the resolved
-//! absolute timestamp.
+//! absolute timestamp. A `query`/`check` with a negative or non-finite
+//! `rho`, a non-positive or non-finite `l`, or a `q_t` that overflows
+//! the clock is answered `{"ok":false,"error":"bad_query","detail":…}`
+//! and counted neither served nor failed.
 //!
 //! ## Subscriptions
 //!
@@ -788,8 +791,14 @@ pub struct NetClient {
 impl NetClient {
     /// Connects to a serving front-end.
     pub fn connect(addr: &str) -> io::Result<NetClient> {
+        let stream = TcpStream::connect(addr)?;
+        // A frame is written as its length prefix, then its body. With
+        // Nagle's algorithm on, the body waits for the peer to
+        // acknowledge the prefix, and a delayed ACK stalls the request
+        // ~40 ms. Both ends therefore disable it.
+        stream.set_nodelay(true)?;
         Ok(NetClient {
-            stream: TcpStream::connect(addr)?,
+            stream,
             faults: None,
         })
     }
@@ -1129,9 +1138,10 @@ fn conn_loop(
     let mut rng = (policy.seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
     // Bounded reads: the 50 ms poll quantum lets the loop observe both
     // the idle/frame deadlines and the shared shutdown flag without a
-    // dedicated watchdog thread.
+    // dedicated watchdog thread. No Nagle delay: see `NetClient::connect`.
     if stream.set_read_timeout(Some(READ_POLL)).is_err()
         || stream.set_write_timeout(Some(cfg.frame_timeout)).is_err()
+        || stream.set_nodelay(true).is_err()
     {
         return;
     }
@@ -1171,6 +1181,12 @@ fn conn_loop(
 
 fn err_json(msg: &str) -> String {
     format!("{{\"ok\":false,\"error\":\"{msg}\"}}")
+}
+
+/// Typed refusal of a `query`/`check` whose parameters no engine can
+/// evaluate.
+fn bad_query(detail: &str) -> String {
+    format!("{{\"ok\":false,\"error\":\"bad_query\",\"detail\":{detail:?}}}")
 }
 
 /// Echoes a request's numeric `id` into a response object, so clients
@@ -1636,6 +1652,15 @@ fn serve_query(
     ) else {
         return err_json("query needs rho, l, q_t");
     };
+    // What `PdrQuery::new` would panic on is refused before admission:
+    // that panic sits outside the engine's unwind guard, so it would
+    // kill the connection and leak the admission slot.
+    if !(rho >= 0.0 && rho.is_finite()) {
+        return bad_query("rho must be finite and >= 0");
+    }
+    if !(l > 0.0 && l.is_finite()) {
+        return bad_query("l must be finite and > 0");
+    }
     // Bounded admission: reject rather than queue without limit.
     if shared.inflight.fetch_add(1, Ordering::SeqCst) >= cfg.capacity {
         shared.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -1660,9 +1685,15 @@ fn serve_query(
         // is the applied protocol time of the replicated stream (the
         // local simulator never ticks), so at equal applied offsets the
         // same `q_t` hits the same absolute timestamp on both.
-        let t_abs = match engine.and_then(|e| e.as_replica()) {
-            Some(rep) => rep.applied_t() + q_t,
-            None => d.simulator().t_now() + q_t,
+        let clock = match engine.and_then(|e| e.as_replica()) {
+            Some(rep) => rep.applied_t(),
+            None => d.simulator().t_now(),
+        };
+        // Checked here, where the clock is read: the slot is released
+        // and the query counted neither served nor failed.
+        let Some(t_abs) = clock.checked_add(q_t) else {
+            shared.inflight.fetch_sub(1, Ordering::SeqCst);
+            return bad_query("q_t overflows the serving clock");
         };
         let q = PdrQuery::new(rho, l, t_abs);
         let answer = match engine {
@@ -2437,6 +2468,54 @@ mod tests {
         c.request("{\"op\":\"shutdown\"}").unwrap();
         let summary = server.join().unwrap();
         assert!(summary.contains("\"rejected_admissions\":3"), "{summary}");
+    }
+
+    /// Parameters `PdrQuery` cannot hold get a typed `bad_query` instead
+    /// of a panic that kills the connection and leaks its admission
+    /// slot: at `capacity: 2`, two malformed queries must leave room for
+    /// a valid one, and the server must shut down with no leaked worker.
+    #[test]
+    fn malformed_query_is_refused_without_leaking_admission() {
+        let cfg = NetServerConfig {
+            capacity: 2,
+            ..NetServerConfig::default()
+        };
+        let server =
+            NetServer::bind("127.0.0.1:0", driver(200), FaultPolicy::default(), cfg).unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || server.serve());
+        let mut c = NetClient::connect(&addr).unwrap();
+        // Past t = 0, an offset of u64::MAX overflows the clock.
+        let r = c.request("{\"op\":\"tick\"}").unwrap();
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
+        for bad in [
+            "{\"op\":\"query\",\"rho\":-1.0,\"l\":20.0,\"q_t\":1}",
+            "{\"op\":\"query\",\"rho\":-1.0,\"l\":20.0,\"q_t\":1}",
+            "{\"op\":\"check\",\"rho\":0.015,\"l\":0,\"q_t\":1}",
+            "{\"op\":\"query\",\"rho\":0.015,\"l\":20.0,\"q_t\":18446744073709551615}",
+        ] {
+            let r = c.request(bad).unwrap();
+            assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false), "{bad}");
+            assert_eq!(
+                r.get("error").and_then(Json::as_str),
+                Some("bad_query"),
+                "{bad}"
+            );
+        }
+        let r = c
+            .request("{\"op\":\"query\",\"rho\":0.015,\"l\":20.0,\"q_t\":1}")
+            .unwrap();
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
+        c.request("{\"op\":\"shutdown\"}").unwrap();
+        let summary = server.join().unwrap();
+        for key in [
+            "\"served\":1,",
+            "\"rejected_admissions\":0,",
+            "\"failed_queries\":0,",
+            "\"leaked_workers\":0",
+        ] {
+            assert!(summary.contains(key), "{key}: {summary}");
+        }
     }
 
     /// A frame truncated at *every* possible byte boundary — inside the

@@ -201,7 +201,30 @@ serve_tcp_smoke() {
         rm -f "$portfile" "$serverlog" "$clientlog"
         return
     fi
-    if ! target/release/pdrcli client --connect "$(cat "$portfile")" \
+    # Two malformed queries, one raw connection each, before the client
+    # runs: each must get a typed bad_query, and neither may cost the
+    # server a worker or an admission slot (the shutdown summary checks
+    # below cover that end to end).
+    addr="$(cat "$portfile")"
+    bad='{"op":"query","rho":-1.0,"l":20.0,"q_t":1}'
+    header="$(printf '\\x%02x' 0 0 0 "${#bad}")"
+    for _ in 1 2; do
+        resp=""
+        if exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"; then
+            # shellcheck disable=SC2059 # header holds \x escapes
+            printf "$header%s" "$bad" >&3
+            IFS= read -r -t 5 -d '}' -u 3 resp
+            exec 3<&- 3>&-
+        fi
+        case "$resp" in
+            *'"error":"bad_query"'*) ;;
+            *)
+                echo "FAIL: malformed query not refused with bad_query: $resp"
+                fail=1
+                ;;
+        esac
+    done
+    if ! target/release/pdrcli client --connect "$addr" \
             --ticks 10 --queries 4 --l 20 --count 8 >"$clientlog" 2>&1; then
         echo "FAIL: TCP client exited nonzero"
         sed 's/^/  client: /' "$clientlog"
