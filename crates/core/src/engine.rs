@@ -32,8 +32,8 @@ use crate::obs::ObsReport;
 use crate::sub::{AnswerDelta, QtPolicy, SubError, SubId, Subscription, SubscriptionTable};
 use crate::wal::{open_checkpoint, seal_checkpoint, RecoverError};
 use crate::{
-    baselines, classify_cells, dh_optimistic, dh_pessimistic, ExactOracle, FrConfig, FrEngine,
-    PaConfig, PaEngine, PdrQuery, RangeIndex,
+    baselines, classify_cells, dh_optimistic, dh_pessimistic, filter::check_filter_edge,
+    ExactOracle, FrConfig, FrEngine, PaConfig, PaEngine, PdrQuery, RangeIndex,
 };
 use pdr_geometry::{GridSpec, Rect, RegionSet};
 use pdr_histogram::DensityHistogram;
@@ -260,10 +260,18 @@ pub trait DensityEngine: Send + Sync {
         None
     }
 
+    /// Refuses a neighborhood edge `l` this engine cannot evaluate
+    /// (below its filter's minimum, or beyond a sharded plane's halo),
+    /// before a subscription registers or the wire admits a query. The
+    /// default accepts every edge.
+    fn check_query_edge(&self, _l: f64) -> Result<(), SubError> {
+        Ok(())
+    }
+
     /// Registers a standing PDR query. The first maintenance pass after
-    /// registration emits the full current answer as `added`. Engines
-    /// with structural limits (the sharded plane's halo width) reject
-    /// queries they could not maintain exactly.
+    /// registration emits the full current answer as `added`. Edges
+    /// [`check_query_edge`](Self::check_query_edge) refuses are not
+    /// registered.
     fn register_subscription(
         &mut self,
         rho: f64,
@@ -271,6 +279,7 @@ pub trait DensityEngine: Send + Sync {
         region: Rect,
         policy: QtPolicy,
     ) -> Result<SubId, SubError> {
+        self.check_query_edge(l)?;
         match self.subscriptions_mut() {
             Some(t) => t.register(rho, l, region, policy),
             None => Err(SubError::Unsupported),
@@ -395,6 +404,10 @@ impl<I: RangeIndex> DensityEngine for FrEngine<I> {
 
     fn restore_from(&mut self, bytes: &[u8]) -> Result<(), RecoverError> {
         self.restore_from_bytes(bytes)
+    }
+
+    fn check_query_edge(&self, l: f64) -> Result<(), SubError> {
+        check_filter_edge(self.histogram().grid(), l)
     }
 
     fn set_fault_plan(&self, plan: FaultPlan) {
@@ -797,6 +810,10 @@ impl DensityEngine for DhEngine {
             DhMode::Optimistic => "dh-opt",
             DhMode::Pessimistic => "dh-pess",
         }
+    }
+
+    fn check_query_edge(&self, l: f64) -> Result<(), SubError> {
+        check_filter_edge(self.histogram.grid(), l)
     }
 
     fn apply_batch(&mut self, updates: &[Update]) {
@@ -1399,6 +1416,39 @@ mod tests {
         assert!(json.contains("\"subs\":1"), "{json}");
         assert!(eng.unregister_subscription(id));
         assert!(!eng.unregister_subscription(id));
+    }
+
+    #[test]
+    fn filter_engines_refuse_edges_below_twice_the_cell_edge() {
+        use crate::sub::{QtPolicy, SubError};
+        let region = Rect::new(0.0, 0.0, 100.0, 100.0);
+        for spec in [
+            EngineSpec::Fr(small_fr_cfg()),
+            EngineSpec::Dh(small_fr_cfg(), DhMode::Optimistic),
+            EngineSpec::Sharded {
+                adaptive: None,
+                inner: Box::new(EngineSpec::Fr(small_fr_cfg())),
+                sx: 2,
+                sy: 2,
+                l_max: 10.0,
+            },
+        ] {
+            let mut eng = spec.build(0);
+            // Cell edge 5: l = 9.5 cannot be classified, l = 10 can.
+            assert_eq!(
+                eng.register_subscription(0.05, 9.5, region, QtPolicy::NowPlus(0)),
+                Err(SubError::EdgeBelowFilterCell {
+                    l: 9.5,
+                    l_min: 10.0
+                }),
+                "{}",
+                eng.name()
+            );
+            assert!(eng.subscriptions().is_some_and(|t| t.is_empty()));
+            assert_eq!(eng.check_query_edge(10.0), Ok(()), "{}", eng.name());
+            eng.register_subscription(0.05, 10.0, region, QtPolicy::NowPlus(0))
+                .expect("l = 2 l_c registers");
+        }
     }
 
     /// Every engine — whatever its maintenance path (default recompute,

@@ -25,9 +25,7 @@ pub fn exact_dense_regions(objects: &[Point], bounds: &Rect, query: &PdrQuery) -
         .copied()
         .filter(|p| inflated.contains(*p))
         .collect();
-    let mut rs = RegionSet::from_rects(refine_region(bounds, &mut relevant, threshold, query.l));
-    rs.canonicalize();
-    rs
+    RegionSet::from_rects(refine_region(bounds, &mut relevant, threshold, query.l))
 }
 
 /// A brute-force oracle bundling object positions with query helpers;

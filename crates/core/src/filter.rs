@@ -14,7 +14,7 @@
 //!
 //! Everything in between is a **candidate** for the refinement sweep.
 
-use crate::{DenseThreshold, PdrQuery};
+use crate::{DenseThreshold, PdrQuery, SubError};
 use pdr_geometry::{CellId, GridSpec};
 use pdr_histogram::PrefixSum2d;
 
@@ -73,6 +73,21 @@ impl Classification {
     }
 }
 
+/// Refuses a neighborhood edge `l` that [`classify_cells`] cannot take
+/// on `grid` (Algorithm 1 requires `l_c ≤ l/2`), so engines answer it
+/// with a typed error before it reaches the filter. A NaN `l` is left
+/// to the callers' parameter checks.
+pub(crate) fn check_filter_edge(grid: GridSpec, l: f64) -> Result<(), SubError> {
+    if grid.cell_edge() > l / 2.0 + 1e-12 {
+        Err(SubError::EdgeBelowFilterCell {
+            l,
+            l_min: 2.0 * grid.cell_edge(),
+        })
+    } else {
+        Ok(())
+    }
+}
+
 /// Runs the filter step of Algorithm 1 on one histogram plane.
 ///
 /// # Panics
@@ -83,7 +98,7 @@ impl Classification {
 pub fn classify_cells(grid: GridSpec, sums: &PrefixSum2d, query: &PdrQuery) -> Classification {
     let l_c = grid.cell_edge();
     assert!(
-        l_c <= query.l / 2.0 + 1e-12,
+        check_filter_edge(grid, query.l).is_ok(),
         "filter requires cell edge l_c ({l_c}) <= l/2 ({})",
         query.l / 2.0
     );

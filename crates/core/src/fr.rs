@@ -624,7 +624,9 @@ impl<I: RangeIndex> FrEngine<I> {
         let regions = {
             let _t = self.obs.merge_time.timer(enabled);
             // Accepted cells join the refined rects' buffer, which
-            // `from_rects` reuses: no second copy of the answer.
+            // `from_rects` reuses: no second copy of the answer. The
+            // sweep emits each candidate cell canonical already; this
+            // pass merges runs across cell borders.
             rects.extend(cls.cells_of(CellClass::Accept).map(|c| grid.cell_rect(c)));
             let mut regions = RegionSet::from_rects(rects);
             // The exact answer must be a pure function of the dense point
@@ -1020,25 +1022,9 @@ fn refine_chunk<I: RangeIndex>(
                 u64::from(hits.capacity() != caps.0) + u64::from(positions.capacity() != caps.1),
             );
         }
-        rects.extend_from_slice(refine_cell(&target, &mut positions, threshold, q.l).rects());
+        rects.extend(refine_region(&target, &mut positions, threshold, q.l));
     }
     Ok((rects, retrieved, io))
-}
-
-/// One candidate cell's dense region, canonicalized. The sweep emits a
-/// sliver per (x-strip, y-segment), about a hundred times the cell's
-/// canonical size, and callers hold many cells' worth at once; the
-/// union of canonical cells canonicalizes to the same list as the
-/// union of their slivers.
-fn refine_cell(
-    target: &Rect,
-    positions: &mut [Point],
-    threshold: DenseThreshold,
-    l: f64,
-) -> RegionSet {
-    let mut cell = RegionSet::from_rects(refine_region(target, positions, threshold, l));
-    cell.canonicalize();
-    cell
 }
 
 /// One maintenance chunk's yield: each cell's rectangles separately
@@ -1074,8 +1060,8 @@ fn refine_cells<I: RangeIndex>(
         let _t = obs.map(|o| o.sweep_time.timer(true));
         positions.clear();
         positions.extend(hits.iter().map(|&(_, p)| p));
-        let rects = refine_cell(&target, &mut positions, threshold, q.l);
-        out.push((grid.linear_index(cell), rects.rects().to_vec()));
+        let rects = refine_region(&target, &mut positions, threshold, q.l);
+        out.push((grid.linear_index(cell), rects));
     }
     Ok((out, retrieved, io))
 }

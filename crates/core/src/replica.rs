@@ -431,6 +431,10 @@ impl DensityEngine for Replica {
         self.inner.subscriptions_mut()
     }
 
+    fn check_query_edge(&self, l: f64) -> Result<(), SubError> {
+        self.inner.check_query_edge(l)
+    }
+
     fn register_subscription(
         &mut self,
         rho: f64,

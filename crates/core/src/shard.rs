@@ -2064,6 +2064,20 @@ impl DensityEngine for ShardedEngine {
         Some(&mut self.subs)
     }
 
+    fn check_query_edge(&self, l: f64) -> Result<(), SubError> {
+        // The halo covers edges up to `l_max`; a wider query would
+        // silently lose density at cut lines, so refuse it with a typed
+        // error instead of answering wrong. Every shard runs the same
+        // inner spec, so shard 0 speaks for the filter's minimum.
+        if l > self.l_max {
+            return Err(SubError::EdgeExceedsHalo {
+                l,
+                l_max: self.l_max,
+            });
+        }
+        self.plane.read_shard(0).engine.check_query_edge(l)
+    }
+
     fn register_subscription(
         &mut self,
         rho: f64,
@@ -2071,15 +2085,7 @@ impl DensityEngine for ShardedEngine {
         region: Rect,
         policy: QtPolicy,
     ) -> Result<SubId, SubError> {
-        // The halo covers edges up to `l_max`; a wider standing query
-        // would silently lose density at cut lines, so refuse it with a
-        // typed error instead of maintaining a wrong answer.
-        if l > self.l_max {
-            return Err(SubError::EdgeExceedsHalo {
-                l,
-                l_max: self.l_max,
-            });
-        }
+        self.check_query_edge(l)?;
         let id = self.subs.register(rho, l, region, policy)?;
         let sub = *self.subs.get(id).expect("just registered");
         let owners = self.owners_of(&region);

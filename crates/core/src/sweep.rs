@@ -17,13 +17,22 @@
 //! `x_c ∈ [x_o − l/2, x_o + l/2)`. Each segment is classified by its
 //! *midpoint*, which is equivalent to classifying the whole segment (the
 //! density is constant on it) and immune to boundary ties.
+//!
+//! The output is already canonical (the form
+//! [`RegionSet::canonicalize`] produces): within a strip, abutting dense
+//! segments merge into maximal Y-runs, and a [`CanonicalBuilder`]
+//! carries each run into the next strip whenever it is unchanged there,
+//! so the sweep emits one rectangle per maximal run. The band's Y
+//! coordinates stay sorted as objects enter and leave it, and both
+//! axes' stopping events come from merging two already-sorted streams,
+//! so no strip sorts anything.
 
 use crate::DenseThreshold;
-use pdr_geometry::{Point, Rect, RegionSet};
+use pdr_geometry::{CanonicalBuilder, Point, Rect, RegionSet};
 
-/// Exact ρ-dense sub-rectangles of `target`, given `objects` — every
-/// object position within `target.inflate(l/2)` (a superset is fine;
-/// objects further out cannot affect any point of `target`).
+/// Exact ρ-dense region of `target`, given `objects` — every object
+/// position within `target.inflate(l/2)` (a superset is fine; objects
+/// further out cannot affect any point of `target`).
 ///
 /// Sorts `objects` in place through the mutable borrow: the refinement
 /// hot loop refills one positions buffer per candidate cell and hands
@@ -31,8 +40,9 @@ use pdr_geometry::{Point, Rect, RegionSet};
 /// Borrowing callers go through [`refine_region_set`], which pays the
 /// one copy explicitly.
 ///
-/// Returns half-open `[lo, hi)` rectangles, not yet canonicalized
-/// (callers merging several cells canonicalize once at the end).
+/// Returns half-open `[lo, hi)` rectangles in canonical form: the list
+/// [`RegionSet::canonicalize`] would make of the dense point set, bit
+/// for bit.
 pub fn refine_region(
     target: &Rect,
     objects: &mut [Point],
@@ -40,98 +50,113 @@ pub fn refine_region(
     l: f64,
 ) -> Vec<Rect> {
     assert!(l > 0.0, "edge length must be positive");
-    let mut out = Vec::new();
     if target.is_degenerate() {
-        return out;
+        return Vec::new();
     }
     // A region can only be dense if enough objects are around at all.
     if !threshold.met_by(objects.len()) {
-        return out;
+        return Vec::new();
     }
     let half = l / 2.0;
 
     // Objects sorted by x for the band sweep (in the caller's buffer).
     let by_x = objects;
     by_x.sort_by(|a, b| a.x.total_cmp(&b.x));
-
-    // Stopping events along X, clamped to the target.
-    let mut xs: Vec<f64> = Vec::with_capacity(2 * by_x.len() + 2);
-    xs.push(target.x_lo);
-    xs.push(target.x_hi);
-    for p in by_x.iter() {
-        for e in [p.x - half, p.x + half] {
-            if e > target.x_lo && e < target.x_hi {
-                xs.push(e);
-            }
-        }
-    }
-    xs.sort_by(f64::total_cmp);
-    xs.dedup();
+    let mut xs = Vec::with_capacity(2 * by_x.len() + 2);
+    stopping_events(target.x_lo, target.x_hi, by_x, |p| p.x, half, &mut xs);
 
     // Two pointers over by_x: the band at center x_c contains objects
-    // with x_o ∈ (x_c − l/2, x_c + l/2]; evaluated at segment midpoints
-    // (monotonically increasing), both pointers only advance.
+    // with x_o ∈ (x_c − l/2, x_c + l/2]; evaluated at strip midpoints
+    // (monotonically increasing), both pointers only advance, and each
+    // object's y enters and leaves the sorted band once.
     let mut lo = 0; // index of first object with x_o > mid − l/2
     let mut hi = 0; // index one past last object with x_o ≤ mid + l/2
-    let mut band: Vec<f64> = Vec::new(); // y-coords of band members, rebuilt per segment
+    let mut band: Vec<f64> = Vec::new(); // y of by_x[lo..hi], sorted
+    let mut y_events = Vec::new();
+    let mut runs = Vec::new();
+    let mut canon = CanonicalBuilder::default();
 
     for w in xs.windows(2) {
         let (x0, x1) = (w[0], w[1]);
-        if x1 <= x0 {
-            continue;
-        }
         let mid = 0.5 * (x0 + x1);
         while lo < by_x.len() && by_x[lo].x <= mid - half {
+            if lo < hi {
+                let at = band.partition_point(|y| y.total_cmp(&by_x[lo].y).is_lt());
+                band.remove(at);
+            }
             lo += 1;
         }
-        if hi < lo {
-            hi = lo;
-        }
+        hi = hi.max(lo);
         while hi < by_x.len() && by_x[hi].x <= mid + half {
+            let at = band.partition_point(|y| y.total_cmp(&by_x[hi].y).is_lt());
+            band.insert(at, by_x[hi].y);
             hi += 1;
         }
-        let members = &by_x[lo..hi];
-        if !threshold.met_by(members.len()) {
-            continue; // the band cannot contain a dense square
+        runs.clear();
+        // A band short of the threshold cannot contain a dense square.
+        if threshold.met_by(band.len()) {
+            sweep_y(target, &band, threshold, half, &mut y_events, &mut runs);
         }
-        band.clear();
-        band.extend(members.iter().map(|p| p.y));
-        band.sort_by(f64::total_cmp);
-        sweep_y(target, &band, threshold, half, x0, x1, &mut out);
+        canon.slab(x0, x1, &runs);
     }
-    out
+    canon.finish()
 }
 
-/// The inner `l`-square sweep along Y (Algorithm 3) for one X band.
+/// The stopping events of one axis inside `(lo, hi)`: `lo`, every
+/// distinct `c ± half` strictly between, then `hi`, ascending. `items`
+/// are sorted by `coord`, so `c − half` and `c + half` are two sorted
+/// streams and one merge replaces a sort.
+fn stopping_events<T>(
+    lo: f64,
+    hi: f64,
+    items: &[T],
+    coord: impl Fn(&T) -> f64,
+    half: f64,
+    out: &mut Vec<f64>,
+) {
+    out.clear();
+    out.push(lo);
+    let (mut i, mut j) = (0, 0);
+    // Every `c − half` precedes its own `c + half`, so the lower stream
+    // runs out first and the merge ends with the upper one.
+    while j < items.len() {
+        let upper = coord(&items[j]) + half;
+        let e = match items.get(i).map(|t| coord(t) - half) {
+            Some(lower) if lower <= upper => {
+                i += 1;
+                lower
+            }
+            _ => {
+                j += 1;
+                upper
+            }
+        };
+        if e >= hi {
+            break;
+        }
+        if e > lo && e != out[out.len() - 1] {
+            out.push(e);
+        }
+    }
+    out.push(hi);
+}
+
+/// The inner `l`-square sweep along Y (Algorithm 3) for one X strip:
+/// leaves the strip's maximal dense Y-runs in `runs`. `ys` is the
+/// sorted band; `events` is scratch.
 fn sweep_y(
     target: &Rect,
     ys: &[f64],
     threshold: DenseThreshold,
     half: f64,
-    x0: f64,
-    x1: f64,
-    out: &mut Vec<Rect>,
+    events: &mut Vec<f64>,
+    runs: &mut Vec<(f64, f64)>,
 ) {
-    let mut events: Vec<f64> = Vec::with_capacity(2 * ys.len() + 2);
-    events.push(target.y_lo);
-    events.push(target.y_hi);
-    for &y in ys {
-        for e in [y - half, y + half] {
-            if e > target.y_lo && e < target.y_hi {
-                events.push(e);
-            }
-        }
-    }
-    events.sort_by(f64::total_cmp);
-    events.dedup();
-
+    stopping_events(target.y_lo, target.y_hi, ys, |&y| y, half, events);
     let mut lo = 0;
     let mut hi = 0;
     for w in events.windows(2) {
         let (y0, y1) = (w[0], w[1]);
-        if y1 <= y0 {
-            continue;
-        }
         let mid = 0.5 * (y0 + y1);
         while lo < ys.len() && ys[lo] <= mid - half {
             lo += 1;
@@ -143,7 +168,12 @@ fn sweep_y(
             hi += 1;
         }
         if threshold.met_by(hi - lo) {
-            out.push(Rect::new(x0, y0, x1, y1));
+            // Segments are consecutive, so a dense one abuts the last
+            // run exactly when the segment before it was dense too.
+            match runs.last_mut() {
+                Some(run) if run.1 == y0 => run.1 = y1,
+                _ => runs.push((y0, y1)),
+            }
         }
     }
 }
@@ -157,9 +187,7 @@ pub fn refine_region_set(
     l: f64,
 ) -> RegionSet {
     let mut owned = objects.to_vec();
-    let mut rs = RegionSet::from_rects(refine_region(target, &mut owned, threshold, l));
-    rs.canonicalize();
-    rs
+    RegionSet::from_rects(refine_region(target, &mut owned, threshold, l))
 }
 
 #[cfg(test)]

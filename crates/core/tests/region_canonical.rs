@@ -9,7 +9,10 @@
 //! cases (duplicates, overlaps, abutting and shared coordinates,
 //! one-ulp slivers, `±0.0` edges, answers clipped to `±inf` shard
 //! tiles) and the raw FR refinement output at n = 2000, assembled per
-//! candidate cell the way the FR engine assembles it.
+//! candidate cell the way the FR engine assembles it. That raw output
+//! comes from a reference copy of the sliver-per-segment plane sweep the
+//! engine used before its sweep emitted canonical runs; per cell, the
+//! engine's sweep must equal the canonicalized slivers bit for bit.
 //!
 //! Independently of both sweeps, the canonical list must cover exactly
 //! the raw point set: half-open membership is compared at every input
@@ -87,6 +90,110 @@ fn reference_canonicalize(input: &[Rect]) -> Vec<Rect> {
     out.append(&mut open);
     out.sort_by(|a, b| a.x_lo.total_cmp(&b.x_lo).then(a.y_lo.total_cmp(&b.y_lo)));
     out
+}
+
+/// The plane sweep as it was before it emitted canonical runs, kept
+/// verbatim as a test reference and stress input: one sliver rectangle
+/// per (x-strip, dense y-segment), with the band and both axes'
+/// stopping events re-sorted per strip.
+fn reference_sliver_sweep(
+    target: &Rect,
+    objects: &mut [Point],
+    threshold: DenseThreshold,
+    l: f64,
+) -> Vec<Rect> {
+    let mut out = Vec::new();
+    if target.is_degenerate() || !threshold.met_by(objects.len()) {
+        return out;
+    }
+    let half = l / 2.0;
+    let by_x = objects;
+    by_x.sort_by(|a, b| a.x.total_cmp(&b.x));
+    let mut xs: Vec<f64> = Vec::with_capacity(2 * by_x.len() + 2);
+    xs.push(target.x_lo);
+    xs.push(target.x_hi);
+    for p in by_x.iter() {
+        for e in [p.x - half, p.x + half] {
+            if e > target.x_lo && e < target.x_hi {
+                xs.push(e);
+            }
+        }
+    }
+    xs.sort_by(f64::total_cmp);
+    xs.dedup();
+    let mut lo = 0;
+    let mut hi = 0;
+    let mut band: Vec<f64> = Vec::new();
+    for w in xs.windows(2) {
+        let (x0, x1) = (w[0], w[1]);
+        if x1 <= x0 {
+            continue;
+        }
+        let mid = 0.5 * (x0 + x1);
+        while lo < by_x.len() && by_x[lo].x <= mid - half {
+            lo += 1;
+        }
+        if hi < lo {
+            hi = lo;
+        }
+        while hi < by_x.len() && by_x[hi].x <= mid + half {
+            hi += 1;
+        }
+        let members = &by_x[lo..hi];
+        if !threshold.met_by(members.len()) {
+            continue;
+        }
+        band.clear();
+        band.extend(members.iter().map(|p| p.y));
+        band.sort_by(f64::total_cmp);
+        reference_sweep_y(target, &band, threshold, half, x0, x1, &mut out);
+    }
+    out
+}
+
+/// The inner y-sweep of [`reference_sliver_sweep`].
+fn reference_sweep_y(
+    target: &Rect,
+    ys: &[f64],
+    threshold: DenseThreshold,
+    half: f64,
+    x0: f64,
+    x1: f64,
+    out: &mut Vec<Rect>,
+) {
+    let mut events: Vec<f64> = Vec::with_capacity(2 * ys.len() + 2);
+    events.push(target.y_lo);
+    events.push(target.y_hi);
+    for &y in ys {
+        for e in [y - half, y + half] {
+            if e > target.y_lo && e < target.y_hi {
+                events.push(e);
+            }
+        }
+    }
+    events.sort_by(f64::total_cmp);
+    events.dedup();
+    let mut lo = 0;
+    let mut hi = 0;
+    for w in events.windows(2) {
+        let (y0, y1) = (w[0], w[1]);
+        if y1 <= y0 {
+            continue;
+        }
+        let mid = 0.5 * (y0 + y1);
+        while lo < ys.len() && ys[lo] <= mid - half {
+            lo += 1;
+        }
+        if hi < lo {
+            hi = lo;
+        }
+        while hi < ys.len() && ys[hi] <= mid + half {
+            hi += 1;
+        }
+        if threshold.met_by(hi - lo) {
+            out.push(Rect::new(x0, y0, x1, y1));
+        }
+    }
 }
 
 struct Lcg(u64);
@@ -392,7 +499,8 @@ fn fr_sweep_output_at_2000_objects_matches_reference() {
     let threshold = DenseThreshold::of(&q);
 
     // Accepted cells, then each candidate cell's raw sweep strips over
-    // the objects an `l/2`-inflated range query returns.
+    // the objects an `l/2`-inflated range query returns, from the
+    // reference sliver sweep.
     let mut raw: Vec<Rect> = cls
         .cells_of(CellClass::Accept)
         .map(|c| grid.cell_rect(c))
@@ -406,7 +514,14 @@ fn fr_sweep_output_at_2000_objects_matches_reference() {
             .expect("in-memory pool has no faults");
         positions.clear();
         positions.extend(hits.iter().map(|&(_, p)| p));
-        raw.extend(refine_region(&target, &mut positions, threshold, q.l));
+        let slivers = reference_sliver_sweep(&target, &mut positions, threshold, q.l);
+        // The sweep emits each cell's slivers already canonical.
+        assert_eq!(
+            bits(&refine_region(&target, &mut positions, threshold, q.l)),
+            bits(&reference_canonicalize(&slivers)),
+            "cell {cell:?}"
+        );
+        raw.extend(slivers);
     }
     assert!(
         raw.len() > 10_000,

@@ -39,7 +39,7 @@ pub use interval::{Interval, IntervalSet};
 pub use lsquare::LSquare;
 pub use point::Point;
 pub use rect::Rect;
-pub use region::RegionSet;
+pub use region::{CanonicalBuilder, RegionSet};
 
 /// Comparison tolerance used when deduplicating sweep-event coordinates.
 ///

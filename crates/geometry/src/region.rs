@@ -24,8 +24,8 @@ use std::fmt;
 /// The representation is a plain list of rectangles — possibly
 /// overlapping, possibly abutting. All measure operations are computed on
 /// the *union*, so duplicates and overlaps are harmless for correctness;
-/// [`canonicalize`](RegionSet::canonicalize) compacts the long strips
-/// produced by the plane-sweep refinement into a canonical list.
+/// [`canonicalize`](RegionSet::canonicalize) merges pieces (per-cell
+/// refinements, per-shard answers) into one canonical list.
 #[derive(Clone, Default, PartialEq)]
 pub struct RegionSet {
     rects: Vec<Rect>,
@@ -124,43 +124,16 @@ impl RegionSet {
     /// epsilon: shards hand back coordinates copied from the same
     /// arithmetic the unsharded engine performs.
     ///
-    /// One slab sweep (`for_each_slab`); a run identical to one of
-    /// the previous slab extends that rectangle (keeping the Y bits of
-    /// the slab that opened it), every other run opens a new one. Both
-    /// run lists are sorted, so matching is a merge-walk.
+    /// One slab sweep (`for_each_slab`) feeding a [`CanonicalBuilder`].
     pub fn canonicalize(&mut self) {
         self.rects.retain(|r| !r.is_degenerate());
-        let mut out: Vec<Rect> = Vec::new();
-        // Rectangles still extendable rightward (their y-run persisted
-        // through the previous slab), sorted by y.
-        let mut open: Vec<Rect> = Vec::new();
-        let mut next_open: Vec<Rect> = Vec::new();
+        let mut canon = CanonicalBuilder::default();
         for_each_slab(
             std::mem::take(&mut self.rects),
             Vec::new(),
-            |x0, x1, runs, _| {
-                let mut j = 0;
-                for &(lo, hi) in runs {
-                    while j < open.len() && open[j].y_lo < lo {
-                        out.push(open[j]);
-                        j += 1;
-                    }
-                    match open.get(j) {
-                        Some(r) if r.y_lo == lo && r.y_hi == hi => {
-                            next_open.push(Rect { x_hi: x1, ..*r });
-                            j += 1;
-                        }
-                        _ => next_open.push(Rect::new(x0, lo, x1, hi)),
-                    }
-                }
-                out.extend_from_slice(&open[j..]);
-                open.clear();
-                std::mem::swap(&mut open, &mut next_open);
-            },
+            |x0, x1, runs, _| canon.slab(x0, x1, runs),
         );
-        out.append(&mut open);
-        out.sort_unstable_by(|a, b| a.x_lo.total_cmp(&b.x_lo).then(a.y_lo.total_cmp(&b.y_lo)));
-        self.rects = out;
+        self.rects = canon.finish();
     }
 
     /// Boundary-aware merge of per-shard answers: clips each partial
@@ -187,6 +160,56 @@ impl RegionSet {
         }
         merged.canonicalize();
         merged
+    }
+}
+
+/// Assembles the canonical rectangle list of
+/// [`RegionSet::canonicalize`] from a union's maximal Y-runs, fed slab
+/// by slab from left to right. A run identical to one of the previous
+/// slab extends that rectangle (keeping the Y bits of the slab that
+/// opened it), every other run opens a new one; both run lists are
+/// sorted, so matching is a merge-walk. The plane sweep feeds it
+/// directly, so its output is canonical without a second pass.
+#[derive(Default)]
+pub struct CanonicalBuilder {
+    out: Vec<Rect>,
+    /// Rectangles still extendable rightward (their Y-run persisted
+    /// through the previous slab), sorted by Y.
+    open: Vec<Rect>,
+    next_open: Vec<Rect>,
+}
+
+impl CanonicalBuilder {
+    /// Feeds the slab `[x0, x1)`, which starts where the previous slab
+    /// ended, with its union's maximal Y-runs: sorted, disjoint and not
+    /// abutting. Empty `runs` close every open rectangle.
+    pub fn slab(&mut self, x0: f64, x1: f64, runs: &[(f64, f64)]) {
+        let open = &self.open;
+        let mut j = 0;
+        for &(lo, hi) in runs {
+            while j < open.len() && open[j].y_lo < lo {
+                self.out.push(open[j]);
+                j += 1;
+            }
+            match open.get(j) {
+                Some(r) if r.y_lo == lo && r.y_hi == hi => {
+                    self.next_open.push(Rect { x_hi: x1, ..*r });
+                    j += 1;
+                }
+                _ => self.next_open.push(Rect::new(x0, lo, x1, hi)),
+            }
+        }
+        self.out.extend_from_slice(&open[j..]);
+        self.open.clear();
+        std::mem::swap(&mut self.open, &mut self.next_open);
+    }
+
+    /// The canonical rectangles, sorted by `(x_lo, y_lo)`.
+    pub fn finish(mut self) -> Vec<Rect> {
+        self.out.append(&mut self.open);
+        self.out
+            .sort_unstable_by(|a, b| a.x_lo.total_cmp(&b.x_lo).then(a.y_lo.total_cmp(&b.y_lo)));
+        self.out
     }
 }
 

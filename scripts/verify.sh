@@ -310,6 +310,27 @@ sub_smoke() {
         rm -f "$portfile" "$serverlog" "$clientlog"
         return
     fi
+    # One subscribe with an edge below twice the FR cell edge, on a raw
+    # connection before the client runs: it must be refused with a
+    # typed bad_query (registering it used to panic the subscribe path
+    # and leave the client without a reply).
+    addr="$(cat "$portfile")"
+    bad='{"op":"subscribe","rho":0.015,"l":0.5,"q_t":0}'
+    header="$(printf '\\x%02x' 0 0 0 "${#bad}")"
+    resp=""
+    if exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"; then
+        # shellcheck disable=SC2059 # header holds \x escapes
+        printf "$header%s" "$bad" >&3
+        IFS= read -r -t 5 -d '}' -u 3 resp
+        exec 3<&- 3>&-
+    fi
+    case "$resp" in
+        *'"error":"bad_query"'*) ;;
+        *)
+            echo "FAIL: small-l subscribe not refused with bad_query: $resp"
+            fail=1
+            ;;
+    esac
     if ! target/release/pdrcli client --connect "$(cat "$portfile")" \
             --ticks 10 --queries 2 --subs 8 --extent 400 --l 25 --count 8 \
             >"$clientlog" 2>&1; then
