@@ -622,7 +622,7 @@ fn cmd_serve_replica(o: &Options) -> Result<(), String> {
     // retries with jittered backoff; a primary that stays unreachable
     // is *not* fatal — the replica serves empty until a `sync` op
     // succeeds, which re-bootstraps it once the primary returns.
-    let policy = FaultPolicy::default();
+    let policy = reconnect_policy();
     let mut rng = policy.seed | 1;
     let mut last_err = String::new();
     let mut bootstrapped = false;
@@ -648,7 +648,7 @@ fn cmd_serve_replica(o: &Options) -> Result<(), String> {
             Err(e) => {
                 last_err = e;
                 if attempt < policy.max_attempts {
-                    client_backoff(&mut rng, attempt);
+                    policy.backoff(attempt, &mut rng);
                 }
             }
         }
@@ -669,15 +669,14 @@ fn load_net_fault_plan(path: &str) -> Result<NetFaultInjector, String> {
     Ok(NetFaultInjector::new(plan))
 }
 
-/// Seeded jittered exponential backoff for client-side reconnects
-/// (2 ms base doubling to a 200 ms cap, ±50% jitter).
-fn client_backoff(rng: &mut u64, attempt: u32) {
-    let delay = 2_000u64.saturating_mul(1 << attempt.min(8)).min(200_000);
-    *rng ^= *rng << 13;
-    *rng ^= *rng >> 7;
-    *rng ^= *rng << 17;
-    let jitter = rng.wrapping_mul(0x2545_F491_4F6C_DD1D) % (delay / 2 + 1);
-    std::thread::sleep(Duration::from_micros(delay / 2 + jitter));
+/// The retry policy of client-side reconnects: the default policy's
+/// attempts and seed, backing off from 2 ms doubling to a 200 ms cap.
+fn reconnect_policy() -> FaultPolicy {
+    FaultPolicy {
+        backoff_base_us: 2_000,
+        backoff_cap_us: 200_000,
+        ..FaultPolicy::default()
+    }
 }
 
 /// `serve --listen`: hands the bootstrapped driver to the TCP
@@ -869,7 +868,7 @@ impl ResilientClient {
                 self.connected_once = true;
                 return Ok(());
             }
-            client_backoff(&mut self.rng, round + 1);
+            reconnect_policy().backoff(round + 1, &mut self.rng);
         }
         Err(format!(
             "all targets unreachable after {RECONNECT_ROUNDS} rounds: {last}"
@@ -911,7 +910,7 @@ impl ResilientClient {
                     if attempt >= RECONNECT_ROUNDS {
                         return Err(format!("request failed after {attempt} attempts: {e}"));
                     }
-                    client_backoff(&mut self.rng, attempt);
+                    reconnect_policy().backoff(attempt, &mut self.rng);
                 }
             }
         }

@@ -29,7 +29,9 @@
 //! never touching concrete types.
 
 use crate::obs::ObsReport;
-use crate::sub::{AnswerDelta, QtPolicy, SubError, SubId, Subscription, SubscriptionTable};
+use crate::sub::{
+    check_horizon, AnswerDelta, GroupKey, QtPolicy, SubError, SubId, SubscriptionTable,
+};
 use crate::wal::{open_checkpoint, seal_checkpoint, RecoverError};
 use crate::{
     baselines, classify_cells, dh_optimistic, dh_pessimistic, filter::check_filter_edge,
@@ -260,11 +262,14 @@ pub trait DensityEngine: Send + Sync {
         None
     }
 
-    /// Refuses a neighborhood edge `l` this engine cannot evaluate
-    /// (below its filter's minimum, or beyond a sharded plane's halo),
-    /// before a subscription registers or the wire admits a query. The
-    /// default accepts every edge.
-    fn check_query_edge(&self, _l: f64) -> Result<(), SubError> {
+    /// Refuses query parameters this engine cannot evaluate, before a
+    /// subscription registers or the wire admits a query: a
+    /// neighborhood edge `l` below its filter's minimum or beyond a
+    /// sharded plane's halo, and a resolved query timestamp `q_t`
+    /// outside the horizon window its summaries cover (`None` when the
+    /// caller has no resolved timestamp yet). The default accepts
+    /// everything.
+    fn check_query_edge(&self, _l: f64, _q_t: Option<Timestamp>) -> Result<(), SubError> {
         Ok(())
     }
 
@@ -279,7 +284,7 @@ pub trait DensityEngine: Send + Sync {
         region: Rect,
         policy: QtPolicy,
     ) -> Result<SubId, SubError> {
-        self.check_query_edge(l)?;
+        self.check_query_edge(l, None)?;
         match self.subscriptions_mut() {
             Some(t) => t.register(rho, l, region, policy),
             None => Err(SubError::Unsupported),
@@ -292,29 +297,23 @@ pub trait DensityEngine: Send + Sync {
     }
 
     /// Brings every standing subscription's answer up to date with the
-    /// engine state at clock `now` and returns the patches. The default
-    /// recomputes each standing query from scratch through
-    /// [`query`](Self::query) — always exact, never incremental; FR and
-    /// DH override it with the dirty-cell-driven incremental path.
-    /// Either path commits the same canonical answers, so the emitted
-    /// deltas are bit-identical.
+    /// engine state at clock `now` and returns the patches, in
+    /// subscription-id order. The default runs the shared
+    /// [`SubscriptionTable::maintain`] loop with each group recomputed
+    /// through [`try_query`](Self::try_query); FR and DH hand the same
+    /// loop their cached incremental evaluators. Every path commits the
+    /// same canonical answers, so the emitted deltas are bit-identical.
     fn maintain_subscriptions(&mut self, now: Timestamp) -> Vec<AnswerDelta> {
-        let specs: Vec<Subscription> = match self.subscriptions() {
-            Some(t) if !t.is_empty() => t.subs().copied().collect(),
-            _ => return Vec::new(),
+        let Some(table) = self.subscriptions_mut() else {
+            return Vec::new();
         };
-        let mut deltas = Vec::new();
-        for s in specs {
-            let q_t = s.policy.resolve(now);
-            let ans = self.query(&PdrQuery::new(s.rho, s.l, q_t));
-            let clipped = SubscriptionTable::clip(&ans.regions, s.region);
-            let table = self
-                .subscriptions_mut()
-                .expect("subscription table vanished mid-maintenance");
-            if let Some(d) = table.commit(s.id, clipped, now, q_t) {
-                deltas.push(d);
-            }
-        }
+        // The table leaves the engine for the pass so the evaluator can
+        // borrow the engine.
+        let mut table = std::mem::take(table);
+        let (deltas, _) = table.maintain(now, |q| self.try_query(q).map(|a| a.regions));
+        *self
+            .subscriptions_mut()
+            .expect("subscription table vanished mid-maintenance") = table;
         deltas
     }
 
@@ -406,8 +405,10 @@ impl<I: RangeIndex> DensityEngine for FrEngine<I> {
         self.restore_from_bytes(bytes)
     }
 
-    fn check_query_edge(&self, l: f64) -> Result<(), SubError> {
-        check_filter_edge(self.histogram().grid(), l)
+    fn check_query_edge(&self, l: f64, q_t: Option<Timestamp>) -> Result<(), SubError> {
+        let h = self.histogram();
+        check_filter_edge(h.grid(), l)?;
+        check_horizon(h.horizon(), h.t_base(), q_t)
     }
 
     fn set_fault_plan(&self, plan: FaultPlan) {
@@ -446,7 +447,7 @@ impl<I: RangeIndex> DensityEngine for FrEngine<I> {
     }
 
     fn maintain_subscriptions(&mut self, now: Timestamp) -> Vec<AnswerDelta> {
-        FrEngine::maintain_subs(self, now)
+        self.maintain_cached(now)
     }
 }
 
@@ -480,6 +481,11 @@ impl DensityEngine for PaEngine {
 
     fn interval_query(&self, rho: f64, _l: f64, from: Timestamp, to: Timestamp) -> RegionSet {
         PaEngine::interval_query(self, rho, from, to)
+    }
+
+    /// PA answers for its configured `l`, so only `q_t` can be refused.
+    fn check_query_edge(&self, _l: f64, q_t: Option<Timestamp>) -> Result<(), SubError> {
+        check_horizon(self.config().horizon, self.t_base(), q_t)
     }
 
     fn checkpoint(&self) -> Option<Vec<u8>> {
@@ -761,7 +767,7 @@ pub struct DhEngine {
     /// histogram epoch it was computed at. An unchanged epoch means no
     /// update touched the histogram, so the cached answer is reused
     /// without reclassifying.
-    sub_cache: HashMap<(u64, u64, Timestamp), (u64, RegionSet)>,
+    sub_cache: HashMap<GroupKey, (u64, RegionSet)>,
 }
 
 impl DhEngine {
@@ -779,25 +785,6 @@ impl DhEngine {
         }
     }
 
-    /// One group's full-domain answer, through the epoch-tagged cache.
-    fn sub_group_answer(&mut self, rho: f64, l: f64, q_t: Timestamp) -> RegionSet {
-        let key = (rho.to_bits(), l.to_bits(), q_t);
-        let epoch = self.histogram.epoch();
-        if let Some((e, cached)) = self.sub_cache.get(&key) {
-            if *e == epoch {
-                return cached.clone();
-            }
-        }
-        let sums = self.histogram.prefix_sums_at(q_t);
-        let cls = classify_cells(self.histogram.grid(), &sums, &PdrQuery::new(rho, l, q_t));
-        let regions = match self.mode {
-            DhMode::Optimistic => dh_optimistic(&cls),
-            DhMode::Pessimistic => dh_pessimistic(&cls),
-        };
-        self.sub_cache.insert(key, (epoch, regions.clone()));
-        regions
-    }
-
     /// The underlying histogram (for memory sweeps).
     pub fn histogram(&self) -> &DensityHistogram {
         &self.histogram
@@ -812,8 +799,9 @@ impl DensityEngine for DhEngine {
         }
     }
 
-    fn check_query_edge(&self, l: f64) -> Result<(), SubError> {
-        check_filter_edge(self.histogram.grid(), l)
+    fn check_query_edge(&self, l: f64, q_t: Option<Timestamp>) -> Result<(), SubError> {
+        check_filter_edge(self.histogram.grid(), l)?;
+        check_horizon(self.histogram.horizon(), self.histogram.t_base(), q_t)
     }
 
     fn apply_batch(&mut self, updates: &[Update]) {
@@ -836,14 +824,8 @@ impl DensityEngine for DhEngine {
 
     fn query(&self, q: &PdrQuery) -> EngineAnswer {
         let start = Instant::now();
-        let sums = self.histogram.prefix_sums_at(q.q_t);
-        let cls = classify_cells(self.histogram.grid(), &sums, q);
-        let regions = match self.mode {
-            DhMode::Optimistic => dh_optimistic(&cls),
-            DhMode::Pessimistic => dh_pessimistic(&cls),
-        };
         EngineAnswer {
-            regions,
+            regions: dh_answer(&self.histogram, self.mode, q),
             cpu: start.elapsed(),
             io: IoStats::default(),
             exact: false,
@@ -870,24 +852,32 @@ impl DensityEngine for DhEngine {
     }
 
     fn maintain_subscriptions(&mut self, now: Timestamp) -> Vec<AnswerDelta> {
-        if self.subs.is_empty() {
-            self.sub_cache.clear();
-            return Vec::new();
-        }
-        let specs: Vec<Subscription> = self.subs.subs().copied().collect();
-        let mut live_keys = Vec::with_capacity(specs.len());
-        let mut deltas = Vec::new();
-        for s in specs {
-            let q_t = s.policy.resolve(now);
-            live_keys.push((s.rho.to_bits(), s.l.to_bits(), q_t));
-            let full = self.sub_group_answer(s.rho, s.l, q_t);
-            let clipped = SubscriptionTable::clip(&full, s.region);
-            if let Some(d) = self.subs.commit(s.id, clipped, now, q_t) {
-                deltas.push(d);
+        let (histogram, mode, cache) = (&self.histogram, self.mode, &mut self.sub_cache);
+        let epoch = histogram.epoch();
+        let (deltas, live) = self.subs.maintain(now, |q| {
+            let key = (q.rho.to_bits(), q.l.to_bits(), q.q_t);
+            match cache.get(&key) {
+                Some((e, cached)) if *e == epoch => Ok(cached.clone()),
+                _ => {
+                    let regions = dh_answer(histogram, mode, q);
+                    cache.insert(key, (epoch, regions.clone()));
+                    Ok(regions)
+                }
             }
-        }
-        self.sub_cache.retain(|k, _| live_keys.contains(k));
+        });
+        self.sub_cache.retain(|k, _| live.binary_search(k).is_ok());
         deltas
+    }
+}
+
+/// The DH answer to `q`: Algorithm 1's classification at `q_t`, with
+/// candidate cells forced dense or sparse by `mode`.
+fn dh_answer(histogram: &DensityHistogram, mode: DhMode, q: &PdrQuery) -> RegionSet {
+    let sums = histogram.prefix_sums_at(q.q_t);
+    let cls = classify_cells(histogram.grid(), &sums, q);
+    match mode {
+        DhMode::Optimistic => dh_optimistic(&cls),
+        DhMode::Pessimistic => dh_pessimistic(&cls),
     }
 }
 
@@ -1445,10 +1435,66 @@ mod tests {
                 eng.name()
             );
             assert!(eng.subscriptions().is_some_and(|t| t.is_empty()));
-            assert_eq!(eng.check_query_edge(10.0), Ok(()), "{}", eng.name());
+            assert_eq!(eng.check_query_edge(10.0, None), Ok(()), "{}", eng.name());
             eng.register_subscription(0.05, 10.0, region, QtPolicy::NowPlus(0))
                 .expect("l = 2 l_c registers");
         }
+    }
+
+    /// Engines with a horizon refuse a resolved `q_t` outside
+    /// `[t_base, t_base + H]` with a typed error (their queries would
+    /// panic there); engines without one accept any timestamp.
+    #[test]
+    fn engines_refuse_q_t_outside_their_horizon() {
+        use crate::sub::SubError;
+        let pa = PaConfig {
+            extent: 100.0,
+            g: 4,
+            degree: 3,
+            l: 10.0,
+            horizon: TimeHorizon::new(4, 4),
+            m_d: 64,
+        };
+        for spec in [
+            EngineSpec::Fr(small_fr_cfg()),
+            EngineSpec::Dh(small_fr_cfg(), DhMode::Pessimistic),
+            EngineSpec::Pa(pa),
+            EngineSpec::Sharded {
+                adaptive: None,
+                inner: Box::new(EngineSpec::Pa(pa)),
+                sx: 2,
+                sy: 2,
+                l_max: 10.0,
+            },
+        ] {
+            let mut eng = spec.build(0);
+            eng.advance_to(3);
+            for q_t in [3, 11] {
+                assert_eq!(
+                    eng.check_query_edge(10.0, Some(q_t)),
+                    Ok(()),
+                    "{}",
+                    eng.name()
+                );
+            }
+            for q_t in [2, 12] {
+                assert_eq!(
+                    eng.check_query_edge(10.0, Some(q_t)),
+                    Err(SubError::QtOutsideHorizon {
+                        q_t,
+                        from: 3,
+                        to: 11
+                    }),
+                    "{}",
+                    eng.name()
+                );
+            }
+        }
+        let oracle = EngineSpec::Oracle {
+            bounds: Rect::new(0.0, 0.0, 100.0, 100.0),
+        }
+        .build(0);
+        assert_eq!(oracle.check_query_edge(10.0, Some(1_000)), Ok(()));
     }
 
     /// Every engine — whatever its maintenance path (default recompute,

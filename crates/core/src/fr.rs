@@ -1,8 +1,19 @@
 //! The exact filtering–refinement engine (Section 5).
+//!
+//! A PDR query `(ρ, l, q_t)` runs one pipeline: the filter step
+//! (Algorithm 1, cached per histogram epoch and `(q_t, ρ, l)`) classifies
+//! the grid cells, and `FrEngine::refine` refines every candidate cell
+//! with a range query over the `l/2`-inflated cell and the plane sweep
+//! (Algorithms 2–3), chunked over the shared [`Executor`]. Snapshot
+//! queries ([`FrEngine::try_query`]) and standing-query groups (the
+//! evaluator FR hands [`SubscriptionTable::maintain`]) both go through
+//! it; a group re-refines only the candidate cells the histogram's
+//! dirty-cell marks reach and takes the others from its cache, so both
+//! produce the same canonical answer bit for bit.
 
 use crate::exec::Executor;
 use crate::obs::{Counter, Histogram, ObsReport};
-use crate::sub::{AnswerDelta, SubId, Subscription, SubscriptionTable};
+use crate::sub::{AnswerDelta, GroupKey, SubscriptionTable};
 use crate::wal::{open_checkpoint, seal_checkpoint, RecoverError};
 use crate::{
     classify_cells, dh_optimistic, refine_region, CellClass, Classification, DenseThreshold,
@@ -15,9 +26,9 @@ use pdr_storage::{
     ByteReader, ByteWriter, CostModel, FaultPlan, FaultStats, IoStats, StorageError,
 };
 use pdr_tprtree::{TprConfig, TprTree};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Configuration of an [`FrEngine`].
@@ -245,19 +256,18 @@ pub struct FrEngine<I: RangeIndex = TprTree> {
     subs: SubscriptionTable,
     /// Incremental-maintenance cache, one entry per distinct
     /// `(ρ, l, q_t)` group of standing queries (see [`GroupCache`]).
-    sub_cache: HashMap<(u64, u64, Timestamp), GroupCache>,
+    sub_cache: HashMap<GroupKey, GroupCache>,
 }
 
 /// Cached incremental-maintenance state of one standing-query group:
-/// the histogram epoch it was computed at, every candidate cell's
-/// refined rectangles (keyed by linear cell index), and the assembled
-/// canonical full-domain answer. A maintenance pass at an unchanged
-/// epoch reuses `full` outright; otherwise only candidate cells inside
-/// the dilated dirty set are re-refined and the rest reuse their cached
-/// rectangles bit-for-bit.
+/// the histogram epoch it was computed at, the candidate cells' linear
+/// indices (ascending) with their refined rectangles (cell `k` of
+/// `refined` belongs to `cells[k]`), and the assembled canonical
+/// full-domain answer.
 struct GroupCache {
     epoch: u64,
-    cell_rects: HashMap<usize, Vec<Rect>>,
+    cells: Vec<usize>,
+    refined: Refined,
     full: RegionSet,
 }
 
@@ -486,7 +496,10 @@ impl<I: RangeIndex> FrEngine<I> {
 
     /// Cumulative cache-miss counters of the classification cache.
     pub fn cache_counters(&self) -> FrCacheCounters {
-        self.cache.read().expect("cache lock poisoned").counters
+        self.cache
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .counters
     }
 
     /// Filter-step classification for `q`, cached per histogram epoch
@@ -504,14 +517,17 @@ impl<I: RangeIndex> FrEngine<I> {
         let epoch = self.histogram.epoch();
         let key = (q.q_t, q.rho.to_bits(), q.l.to_bits());
         {
-            let cache = self.cache.read().expect("cache lock poisoned");
+            let cache = self.cache.read().unwrap_or_else(PoisonError::into_inner);
             if cache.epoch == epoch {
                 if let Some(c) = cache.classes.get(&key) {
                     return Arc::clone(c);
                 }
             }
         }
-        let mut cache = self.cache.write().expect("cache lock poisoned");
+        // Every step below leaves the cache valid, so a panic under the
+        // lock (e.g. `q_t` outside the horizon) costs later queries
+        // nothing: they recover the guard from the poisoned lock.
+        let mut cache = self.cache.write().unwrap_or_else(PoisonError::into_inner);
         cache.sync_epoch(epoch);
         if let Some(c) = cache.classes.get(&key) {
             return Arc::clone(c);
@@ -519,14 +535,14 @@ impl<I: RangeIndex> FrEngine<I> {
         let sums = match cache.sums.get(&q.q_t) {
             Some(s) => Arc::clone(s),
             None => {
-                cache.counters.sums_recomputes += 1;
                 let s = Arc::new(self.histogram.prefix_sums_at(q.q_t));
+                cache.counters.sums_recomputes += 1;
                 cache.sums.insert(q.q_t, Arc::clone(&s));
                 s
             }
         };
-        cache.counters.classify_recomputes += 1;
         let cls = Arc::new(classify_cells(self.histogram.grid(), &sums, q));
+        cache.counters.classify_recomputes += 1;
         if cache.classes.len() >= MAX_CLASS_ENTRIES {
             cache.classes.clear();
         }
@@ -550,10 +566,8 @@ impl<I: RangeIndex> FrEngine<I> {
     /// The filter step is served from the per-timestamp classification
     /// cache when the histogram has not mutated since it was built; the
     /// refinement step fans candidate cells out across
-    /// [`FrConfig::threads`] workers. Chunks are contiguous runs of the
-    /// row-major candidate list and are merged back in chunk order, so
-    /// the rectangle sequence — and therefore the canonical answer — is
-    /// identical for every worker count.
+    /// [`FrConfig::threads`] workers in deterministic chunks, so the
+    /// canonical answer is identical for every worker count.
     ///
     /// Takes `&self`: any number of threads may query one shared
     /// engine concurrently, and every answer is bit-identical to the
@@ -565,7 +579,9 @@ impl<I: RangeIndex> FrEngine<I> {
     /// Panics when `q.q_t` is outside the current horizon window or the
     /// histogram grid is too coarse for `q.l` (cell edge must be ≤ l/2),
     /// and on storage faults — callers that want to handle faults use
-    /// [`try_query`](FrEngine::try_query).
+    /// [`try_query`](FrEngine::try_query). The serving plane refuses the
+    /// first two up front through
+    /// [`DensityEngine::check_query_edge`](crate::DensityEngine::check_query_edge).
     pub fn query(&self, q: &PdrQuery) -> FrAnswer {
         self.try_query(q)
             .unwrap_or_else(|e| panic!("unhandled storage fault: {e}"))
@@ -580,76 +596,69 @@ impl<I: RangeIndex> FrEngine<I> {
         let enabled = self.obs.enabled();
         let _qt = self.obs.query_time.timer(enabled);
         let start = Instant::now();
-        let grid = self.histogram.grid();
         let cls = {
             let _t = self.obs.classify_time.timer(enabled);
             self.cached_classification(q)
         };
-        let threshold = DenseThreshold::of(q);
-
         self.tree.reset_io_stats();
-        let candidates: Vec<CellId> = cls.cells_of(CellClass::Candidate).collect();
-        let workers = self.worker_count(candidates.len());
-        let obs = enabled.then_some(&*self.obs);
-        let (mut rects, objects_retrieved, io) = if workers <= 1 {
-            refine_chunk(&*self.tree, grid, &candidates, q, threshold, obs)?
-        } else {
-            // Chunking is a pure function of (workers, candidates), and
-            // the executor returns chunk results in index order, so the
-            // merged rectangle sequence is identical at every pool size
-            // — including zero workers, where the scope runs inline.
-            let chunk_len = candidates.len().div_ceil(workers);
-            let chunks = candidates.len().div_ceil(chunk_len);
-            let tree = Arc::clone(&self.tree);
-            let obs = Arc::clone(&self.obs);
-            let cells = Arc::new(candidates);
-            let q = *q;
-            let per_chunk: Vec<RefineResult> = Executor::global().scope(chunks, move |k| {
-                let lo = k * chunk_len;
-                let hi = (lo + chunk_len).min(cells.len());
-                let chunk_obs = obs.enabled().then_some(&*obs);
-                refine_chunk(&*tree, grid, &cells[lo..hi], &q, threshold, chunk_obs)
-            });
-            let mut rects = Vec::new();
-            let mut retrieved = 0usize;
-            let mut io = IoStats::default();
-            for chunk in per_chunk {
-                let (r, n, i) = chunk?;
-                rects.extend(r);
-                retrieved += n;
-                io += i;
-            }
-            (rects, retrieved, io)
-        };
+        let refined = self.refine(cls.cells_of(CellClass::Candidate).collect(), q)?;
         let regions = {
             let _t = self.obs.merge_time.timer(enabled);
-            // Accepted cells join the refined rects' buffer, which
-            // `from_rects` reuses: no second copy of the answer. The
-            // sweep emits each candidate cell canonical already; this
-            // pass merges runs across cell borders.
-            rects.extend(cls.cells_of(CellClass::Accept).map(|c| grid.cell_rect(c)));
-            let mut regions = RegionSet::from_rects(rects);
-            // The exact answer must be a pure function of the dense point
-            // set so that a sharded plane reproduces it rect-for-rect.
-            regions.canonicalize();
-            regions
+            assemble(self.histogram.grid(), &cls, refined.rects)
         };
         self.obs.queries.inc();
         if enabled {
             self.obs.accepted_cells.add(cls.accept_count() as u64);
             self.obs.rejected_cells.add(cls.reject_count() as u64);
             self.obs.candidate_cells.add(cls.candidate_count() as u64);
-            self.obs.objects_retrieved.add(objects_retrieved as u64);
+            self.obs.objects_retrieved.add(refined.retrieved as u64);
         }
         Ok(FrAnswer {
             regions,
             accepts: cls.accept_count(),
             rejects: cls.reject_count(),
             candidates: cls.candidate_count(),
-            objects_retrieved,
-            io,
+            objects_retrieved: refined.retrieved,
+            io: refined.io,
             cpu: start.elapsed(),
         })
+    }
+
+    /// The refinement step of Algorithms 2–3 over `cells`, for snapshot
+    /// queries and standing-query groups alike: per cell, a range query
+    /// over the `l/2`-inflated cell, then the plane sweep.
+    ///
+    /// Cells are split into [`FrConfig::threads`] contiguous chunks run
+    /// as one task group on the shared [`Executor`] (chunks execute on
+    /// the pool's workers plus the calling thread). Chunking is a pure
+    /// function of `(workers, cells)` and chunk results come back in
+    /// chunk order, so the output is identical at every pool size —
+    /// including zero workers, where the scope runs inline.
+    fn refine(&self, cells: Vec<CellId>, q: &PdrQuery) -> Result<Refined, StorageError> {
+        let grid = self.histogram.grid();
+        let threshold = DenseThreshold::of(q);
+        let workers = self.worker_count(cells.len());
+        if workers <= 1 {
+            let obs = self.obs.enabled().then_some(&*self.obs);
+            return refine_chunk(&*self.tree, grid, &cells, q, threshold, obs);
+        }
+        let chunk_len = cells.len().div_ceil(workers);
+        let chunks = cells.len().div_ceil(chunk_len);
+        let tree = Arc::clone(&self.tree);
+        let obs = Arc::clone(&self.obs);
+        let cells = Arc::new(cells);
+        let q = *q;
+        let per_chunk = Executor::global().scope(chunks, move |k| {
+            let lo = k * chunk_len;
+            let hi = (lo + chunk_len).min(cells.len());
+            let chunk_obs = obs.enabled().then_some(&*obs);
+            refine_chunk(&*tree, grid, &cells[lo..hi], &q, threshold, chunk_obs)
+        });
+        let mut out = Refined::default();
+        for chunk in per_chunk {
+            out.append(chunk?);
+        }
+        Ok(out)
     }
 
     /// Filter-only degraded answer for `q`: the optimistic DH answer
@@ -794,66 +803,22 @@ impl<I: RangeIndex> FrEngine<I> {
         &mut self.subs
     }
 
-    /// Incremental subscription maintenance (the tentpole path).
-    ///
-    /// Standing queries are grouped by `(ρ, l, resolved q_t)` and each
-    /// group is evaluated once. Per group, the histogram's dirty-cell
-    /// marks ([`DensityHistogram::dirty_cells_since`]) identify exactly
-    /// the cells whose classification or refinement can differ from the
-    /// group's cached evaluation; only candidate cells inside the dirty
-    /// set (dilated by the query's cell reach) are re-refined — through
-    /// the same scratch/refinement machinery and executor fan-out as a
-    /// from-scratch query — while every clean candidate reuses its
-    /// cached rectangles bit-for-bit. The assembled answer is
-    /// canonicalized, so each subscription's committed answer — and
-    /// therefore every emitted [`AnswerDelta`] — is bit-identical to
-    /// clipping a from-scratch [`query`](Self::query).
-    ///
-    /// On a storage fault the affected group's subscriptions are marked
-    /// degraded (their previous answers stay authoritative but stale)
-    /// and the cache entry is kept so the next pass retries.
-    pub fn maintain_subs(&mut self, now: Timestamp) -> Vec<AnswerDelta> {
-        if self.subs.is_empty() {
-            self.sub_cache.clear();
-            return Vec::new();
-        }
+    /// Incremental subscription maintenance: the shared
+    /// [`SubscriptionTable::maintain`] loop, with each `(ρ, l, q_t)`
+    /// group evaluated through the epoch-tagged group cache (see
+    /// [`eval_sub_group`](Self::eval_sub_group)). Every committed answer
+    /// — and therefore every emitted [`AnswerDelta`] — is bit-identical
+    /// to clipping a from-scratch [`query`](Self::query).
+    pub(crate) fn maintain_cached(&mut self, now: Timestamp) -> Vec<AnswerDelta> {
         let enabled = self.obs.enabled();
         let obs = Arc::clone(&self.obs);
-        let _t = obs.sub_latency.timer(enabled);
-        let mut groups: BTreeMap<(u64, u64, Timestamp), Vec<SubId>> = BTreeMap::new();
-        let specs: Vec<Subscription> = self.subs.subs().copied().collect();
-        for s in &specs {
-            let q_t = s.policy.resolve(now);
-            groups
-                .entry((s.rho.to_bits(), s.l.to_bits(), q_t))
-                .or_default()
-                .push(s.id);
-        }
-        // Drop cache entries of groups no subscription targets anymore
-        // (unregistered, or a sliding q_t moved on).
-        self.sub_cache.retain(|k, _| groups.contains_key(k));
-        let mut deltas = Vec::new();
-        for (key, ids) in groups {
-            let q = PdrQuery::new(f64::from_bits(key.0), f64::from_bits(key.1), key.2);
-            match self.eval_sub_group(&q) {
-                Ok(full) => {
-                    for id in ids {
-                        let region = self.subs.get(id).expect("grouped sub vanished").region;
-                        let clipped = SubscriptionTable::clip(&full, region);
-                        if let Some(d) = self.subs.commit(id, clipped, now, key.2) {
-                            deltas.push(d);
-                        }
-                    }
-                }
-                Err(_) => {
-                    for id in ids {
-                        if let Some(d) = self.subs.mark_degraded(id, now, key.2) {
-                            deltas.push(d);
-                        }
-                    }
-                }
-            }
-        }
+        let _t = obs.sub_latency.timer(enabled && !self.subs.is_empty());
+        // The table leaves the engine for the pass, so the evaluator can
+        // borrow the rest of it mutably.
+        let mut subs = std::mem::take(&mut self.subs);
+        let (deltas, live) = subs.maintain(now, |q| self.eval_sub_group(q));
+        self.subs = subs;
+        self.sub_cache.retain(|k, _| live.binary_search(k).is_ok());
         if enabled {
             obs.deltas_emitted.add(deltas.len() as u64);
         }
@@ -861,7 +826,16 @@ impl<I: RangeIndex> FrEngine<I> {
     }
 
     /// Evaluates one standing-query group's full-domain canonical
-    /// answer through the epoch-tagged incremental cache.
+    /// answer. An unchanged histogram epoch reuses the cached answer
+    /// outright. Otherwise the histogram's dirty-cell marks
+    /// ([`DensityHistogram::dirty_cells_since`]) identify the cells whose
+    /// classification or refinement can differ from the cached
+    /// evaluation: only candidate cells inside that set (dilated by the
+    /// query's cell reach) go through [`refine`](Self::refine), and
+    /// every clean candidate reuses its cached rectangles bit for bit.
+    ///
+    /// On a storage fault the previous cache entry is kept, so the next
+    /// pass retries from it instead of recomputing every cell.
     fn eval_sub_group(&mut self, q: &PdrQuery) -> Result<RegionSet, StorageError> {
         let key = (q.rho.to_bits(), q.l.to_bits(), q.q_t);
         let epoch = self.histogram.epoch();
@@ -870,10 +844,8 @@ impl<I: RangeIndex> FrEngine<I> {
                 return Ok(c.full.clone());
             }
         }
-        let enabled = self.obs.enabled();
         let grid = self.histogram.grid();
         let cls = self.cached_classification(q);
-        let threshold = DenseThreshold::of(q);
         let old = self.sub_cache.remove(&key);
         // Cells whose classification or refinement may differ from the
         // cached evaluation: everything within Chebyshev distance
@@ -895,98 +867,106 @@ impl<I: RangeIndex> FrEngine<I> {
             }
             mask
         });
-        let mut regions = RegionSet::new();
-        for cell in cls.cells_of(CellClass::Accept) {
-            regions.push(grid.cell_rect(cell));
-        }
+        // Per candidate (row-major, so linear indices ascend): where its
+        // clean cached rectangles sit in `old`, if it has any.
         let candidates: Vec<CellId> = cls.cells_of(CellClass::Candidate).collect();
-        let mut cell_rects: HashMap<usize, Vec<Rect>> = HashMap::with_capacity(candidates.len());
-        let mut to_refine: Vec<CellId> = Vec::new();
-        for &cell in &candidates {
-            let li = grid.linear_index(cell);
-            let cached = match (&old, &dirty_mask) {
-                (Some(c), Some(mask)) if !mask[li] => c.cell_rects.get(&li),
+        let cells: Vec<usize> = candidates.iter().map(|&c| grid.linear_index(c)).collect();
+        let reuse: Vec<Option<usize>> = cells
+            .iter()
+            .map(|&li| match (&old, &dirty_mask) {
+                (Some(c), Some(mask)) if !mask[li] => c.cells.binary_search(&li).ok(),
                 _ => None,
-            };
-            match cached {
-                Some(r) => {
-                    cell_rects.insert(li, r.clone());
-                }
-                None => to_refine.push(cell),
-            }
-        }
-        if enabled {
+            })
+            .collect();
+        let to_refine: Vec<CellId> = candidates
+            .into_iter()
+            .zip(&reuse)
+            .filter(|(_, r)| r.is_none())
+            .map(|(c, _)| c)
+            .collect();
+        if self.obs.enabled() {
             self.obs.dirty_cells.add(to_refine.len() as u64);
         }
-        let workers = self.worker_count(to_refine.len());
-        let refined = if workers <= 1 {
-            let obs = enabled.then_some(&*self.obs);
-            refine_cells(&*self.tree, grid, &to_refine, q, threshold, obs).map(|(r, _, _)| r)
-        } else {
-            let chunk_len = to_refine.len().div_ceil(workers);
-            let chunks = to_refine.len().div_ceil(chunk_len);
-            let tree = Arc::clone(&self.tree);
-            let obs = Arc::clone(&self.obs);
-            let cells = Arc::new(to_refine);
-            let q2 = *q;
-            let per_chunk = Executor::global().scope(chunks, move |k| {
-                let lo = k * chunk_len;
-                let hi = (lo + chunk_len).min(cells.len());
-                let chunk_obs = obs.enabled().then_some(&*obs);
-                refine_cells(&*tree, grid, &cells[lo..hi], &q2, threshold, chunk_obs)
-            });
-            per_chunk
-                .into_iter()
-                .try_fold(Vec::new(), |mut acc, chunk| {
-                    acc.extend(chunk?.0);
-                    Ok(acc)
-                })
-        };
-        let refined = match refined {
+        let refined = match self.refine(to_refine, q) {
             Ok(r) => r,
             Err(e) => {
-                // Keep the previous cache entry so the next (post-
-                // recovery) maintenance pass retries from it instead of
-                // falling back to a full recompute.
                 if let Some(c) = old {
                     self.sub_cache.insert(key, c);
                 }
                 return Err(e);
             }
         };
-        for (li, rects) in refined {
-            cell_rects.insert(li, rects);
+        let mut out = Refined::default();
+        let mut fresh = 0..refined.ends.len();
+        for k in &reuse {
+            out.rects.extend_from_slice(match (k, &old) {
+                (Some(k), Some(c)) => c.refined.cell(*k),
+                _ => refined.cell(fresh.next().expect("one refined cell per dirty candidate")),
+            });
+            out.ends.push(out.rects.len());
         }
-        for &cell in &candidates {
-            if let Some(rs) = cell_rects.get(&grid.linear_index(cell)) {
-                for r in rs {
-                    regions.push(*r);
-                }
-            }
-        }
-        regions.canonicalize();
+        let full = assemble(grid, &cls, out.rects.clone());
         self.sub_cache.insert(
             key,
             GroupCache {
                 epoch,
-                cell_rects,
-                full: regions.clone(),
+                cells,
+                refined: out,
+                full: full.clone(),
             },
         );
-        Ok(regions)
+        Ok(full)
+    }
+}
+
+/// The exact answer from its two parts: every candidate cell's refined
+/// rectangles (in candidate order) and the accepted cells, merged into
+/// canonical form. The sweep emits each candidate cell canonical
+/// already; this pass merges runs across cell borders. The exact answer
+/// must be a pure function of the dense point set so that a sharded
+/// plane reproduces it rect-for-rect.
+fn assemble(grid: GridSpec, cls: &Classification, mut rects: Vec<Rect>) -> RegionSet {
+    rects.extend(cls.cells_of(CellClass::Accept).map(|c| grid.cell_rect(c)));
+    let mut regions = RegionSet::from_rects(rects);
+    regions.canonicalize();
+    regions
+}
+
+/// Refinement output of a run of candidate cells, flat: cell `k`'s
+/// dense rectangles are `rects[ends[k - 1]..ends[k]]` (from 0 for
+/// `k = 0`), plus the objects retrieved and the I/O spent.
+#[derive(Default)]
+struct Refined {
+    rects: Vec<Rect>,
+    ends: Vec<usize>,
+    retrieved: usize,
+    io: IoStats,
+}
+
+impl Refined {
+    /// Cell `k`'s rectangles.
+    fn cell(&self, k: usize) -> &[Rect] {
+        let lo = if k == 0 { 0 } else { self.ends[k - 1] };
+        &self.rects[lo..self.ends[k]]
+    }
+
+    /// Appends the next chunk's output (cells after this one's).
+    fn append(&mut self, next: Refined) {
+        let base = self.rects.len();
+        self.rects.extend(next.rects);
+        self.ends.extend(next.ends.into_iter().map(|e| base + e));
+        self.retrieved += next.retrieved;
+        self.io += next.io;
     }
 }
 
 /// Refines one contiguous chunk of candidate cells: per cell, a range
 /// query over the `l/2`-inflated cell followed by the plane sweep.
-/// One refinement chunk's yield: dense rectangles, objects retrieved,
-/// and the chunk's own I/O — or the storage fault that aborted it.
-type RefineResult = Result<(Vec<Rect>, usize, IoStats), StorageError>;
-
-/// Self-contained per chunk (own I/O collector, own rectangle list) so
-/// chunks can run on separate threads and still merge deterministically.
-/// When `obs` is set, each cell's range query and plane sweep record
-/// into the shared (atomic) stage histograms.
+///
+/// Self-contained per chunk (own I/O collector, own output) so chunks
+/// can run on separate threads and still merge deterministically. When
+/// `obs` is set, each cell's range query and plane sweep record into
+/// the shared (atomic) stage histograms.
 fn refine_chunk<I: RangeIndex>(
     tree: &I,
     grid: GridSpec,
@@ -994,10 +974,11 @@ fn refine_chunk<I: RangeIndex>(
     q: &PdrQuery,
     threshold: DenseThreshold,
     obs: Option<&FrObs>,
-) -> RefineResult {
-    let mut rects = Vec::new();
-    let mut retrieved = 0usize;
-    let mut io = IoStats::default();
+) -> Result<Refined, StorageError> {
+    let mut out = Refined {
+        ends: Vec::with_capacity(cells.len()),
+        ..Refined::default()
+    };
     // Scratch reused across every cell of the chunk: the range query
     // refills `hits`, the sweep sorts `positions` in place. Neither is
     // reallocated unless a cell yields more objects than any earlier
@@ -1011,9 +992,9 @@ fn refine_chunk<I: RangeIndex>(
         let caps = (hits.capacity(), positions.capacity());
         {
             let _t = obs.map(|o| o.range_time.timer(true));
-            tree.try_range_at_into(&s, q.q_t, &mut io, &mut hits)?;
+            tree.try_range_at_into(&s, q.q_t, &mut out.io, &mut hits)?;
         }
-        retrieved += hits.len();
+        out.retrieved += hits.len();
         let _t = obs.map(|o| o.sweep_time.timer(true));
         positions.clear();
         positions.extend(hits.iter().map(|&(_, p)| p));
@@ -1022,48 +1003,11 @@ fn refine_chunk<I: RangeIndex>(
                 u64::from(hits.capacity() != caps.0) + u64::from(positions.capacity() != caps.1),
             );
         }
-        rects.extend(refine_region(&target, &mut positions, threshold, q.l));
+        out.rects
+            .extend(refine_region(&target, &mut positions, threshold, q.l));
+        out.ends.push(out.rects.len());
     }
-    Ok((rects, retrieved, io))
-}
-
-/// One maintenance chunk's yield: each cell's rectangles separately
-/// (keyed by linear cell index) so they can be cached and reused while
-/// the cell stays clean.
-type RefineCellsResult = Result<(Vec<(usize, Vec<Rect>)>, usize, IoStats), StorageError>;
-
-/// Per-cell variant of [`refine_chunk`] for subscription maintenance:
-/// identical range-query + plane-sweep pipeline (same scratch reuse),
-/// but the rectangles are *not* flattened across cells — the group
-/// cache needs per-cell attribution to reuse clean cells.
-fn refine_cells<I: RangeIndex>(
-    tree: &I,
-    grid: GridSpec,
-    cells: &[CellId],
-    q: &PdrQuery,
-    threshold: DenseThreshold,
-    obs: Option<&FrObs>,
-) -> RefineCellsResult {
-    let mut out = Vec::with_capacity(cells.len());
-    let mut retrieved = 0usize;
-    let mut io = IoStats::default();
-    let mut hits: Vec<(ObjectId, Point)> = Vec::new();
-    let mut positions: Vec<Point> = Vec::new();
-    for &cell in cells {
-        let target = grid.cell_rect(cell);
-        let s = target.inflate(q.l / 2.0);
-        {
-            let _t = obs.map(|o| o.range_time.timer(true));
-            tree.try_range_at_into(&s, q.q_t, &mut io, &mut hits)?;
-        }
-        retrieved += hits.len();
-        let _t = obs.map(|o| o.sweep_time.timer(true));
-        positions.clear();
-        positions.extend(hits.iter().map(|&(_, p)| p));
-        let rects = refine_region(&target, &mut positions, threshold, q.l);
-        out.push((grid.linear_index(cell), rects));
-    }
-    Ok((out, retrieved, io))
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -431,8 +431,8 @@ impl DensityEngine for Replica {
         self.inner.subscriptions_mut()
     }
 
-    fn check_query_edge(&self, l: f64) -> Result<(), SubError> {
-        self.inner.check_query_edge(l)
+    fn check_query_edge(&self, l: f64, q_t: Option<Timestamp>) -> Result<(), SubError> {
+        self.inner.check_query_edge(l, q_t)
     }
 
     fn register_subscription(

@@ -801,8 +801,7 @@ impl ShardedEngine {
                     shards: n as u32,
                 };
                 // Per-shard segments write the columnar codec2 records;
-                // replay auto-detects per record, so pre-upgrade
-                // segments and legacy journals keep reading.
+                // replay auto-detects the codec per record.
                 let wal = Wal::new_segment_with(header, WalCodec::V2);
                 let checkpoint_offset = wal.offset();
                 RwLock::new(ShardState {
@@ -1404,12 +1403,13 @@ impl ShardedEngine {
                     let m = self.router_table[&id];
                     let bbox =
                         Rect::from_corners(m.position_at(m.t_ref), m.position_at(m.t_ref + h));
-                    (bbox.intersects(&source_ingest) && !bbox.intersects(ingest))
-                        .then_some(Update {
+                    (bbox.intersects(&source_ingest) && !bbox.intersects(ingest)).then_some(
+                        Update {
                             id: ObjectId(id),
                             t_now: self.t_base,
                             kind: pdr_mobject::UpdateKind::Delete { old_motion: m },
-                        })
+                        },
+                    )
                 })
                 .collect();
             if !prune.is_empty() {
@@ -2064,18 +2064,19 @@ impl DensityEngine for ShardedEngine {
         Some(&mut self.subs)
     }
 
-    fn check_query_edge(&self, l: f64) -> Result<(), SubError> {
+    fn check_query_edge(&self, l: f64, q_t: Option<Timestamp>) -> Result<(), SubError> {
         // The halo covers edges up to `l_max`; a wider query would
         // silently lose density at cut lines, so refuse it with a typed
         // error instead of answering wrong. Every shard runs the same
-        // inner spec, so shard 0 speaks for the filter's minimum.
+        // inner spec on the same clock, so shard 0 speaks for the
+        // filter's minimum and the horizon window.
         if l > self.l_max {
             return Err(SubError::EdgeExceedsHalo {
                 l,
                 l_max: self.l_max,
             });
         }
-        self.plane.read_shard(0).engine.check_query_edge(l)
+        self.plane.read_shard(0).engine.check_query_edge(l, q_t)
     }
 
     fn register_subscription(
@@ -2085,7 +2086,7 @@ impl DensityEngine for ShardedEngine {
         region: Rect,
         policy: QtPolicy,
     ) -> Result<SubId, SubError> {
-        self.check_query_edge(l)?;
+        self.check_query_edge(l, None)?;
         let id = self.subs.register(rho, l, region, policy)?;
         let sub = *self.subs.get(id).expect("just registered");
         let owners = self.owners_of(&region);

@@ -14,13 +14,22 @@
 //! The [`SubscriptionTable`] is the per-engine registry: it owns the
 //! subscriptions, their last committed answers, and the diff logic.
 //! Engines expose it through
-//! [`DensityEngine::subscriptions`](crate::DensityEngine::subscriptions);
-//! the default maintenance path recomputes each standing query, while
-//! FR and DH engines override it with a dirty-cell-driven incremental
-//! evaluation (see `pdr_histogram::DensityHistogram::dirty_cells_since`).
+//! [`DensityEngine::subscriptions`](crate::DensityEngine::subscriptions).
+//!
+//! Every unsharded engine maintains its subscriptions through one loop,
+//! [`SubscriptionTable::maintain`]: subscriptions sharing `(ρ, l,
+//! resolved q_t)` form a group, each group's full-domain answer is
+//! evaluated once, and each subscription commits its clipped answer.
+//! Engines differ only in the evaluator they hand it: the default
+//! recomputes the query, FR reuses refined cells the histogram's
+//! dirty-cell marks leave untouched (see
+//! `pdr_histogram::DensityHistogram::dirty_cells_since`), and DH reuses
+//! a group's answer while the histogram epoch is unchanged.
 
+use crate::PdrQuery;
 use pdr_geometry::{Rect, RegionSet};
-use pdr_mobject::Timestamp;
+use pdr_mobject::{TimeHorizon, Timestamp};
+use pdr_storage::StorageError;
 use std::collections::BTreeMap;
 
 /// Identifier of a standing subscription, unique within one engine
@@ -240,6 +249,34 @@ pub enum SubError {
         /// The smallest edge the engine serves (`2 · l_c`).
         l_min: f64,
     },
+    /// The resolved query timestamp lies outside the engine's horizon
+    /// window `[from, to]`, the only timestamps its summaries cover.
+    QtOutsideHorizon {
+        /// The resolved query timestamp.
+        q_t: Timestamp,
+        /// The window's first timestamp (the engine's current time).
+        from: Timestamp,
+        /// The window's last timestamp (`from + H`).
+        to: Timestamp,
+    },
+}
+
+/// Refuses a resolved `q_t` outside the horizon window
+/// `[t_base, t_base + H]` an engine's summaries cover. `None` (a
+/// standing query whose timestamp is not resolved yet) is accepted.
+pub(crate) fn check_horizon(
+    horizon: TimeHorizon,
+    t_base: Timestamp,
+    q_t: Option<Timestamp>,
+) -> Result<(), SubError> {
+    match q_t {
+        Some(q_t) if !horizon.covers(t_base, q_t) => Err(SubError::QtOutsideHorizon {
+            q_t,
+            from: t_base,
+            to: t_base.saturating_add(horizon.h()),
+        }),
+        _ => Ok(()),
+    }
 }
 
 impl std::fmt::Display for SubError {
@@ -258,11 +295,19 @@ impl std::fmt::Display for SubError {
                 f,
                 "query edge l = {l} is below the filter's minimum 2 · l_c = {l_min}"
             ),
+            SubError::QtOutsideHorizon { q_t, from, to } => write!(
+                f,
+                "query timestamp q_t = {q_t} is outside the engine's horizon [{from}, {to}]"
+            ),
         }
     }
 }
 
 impl std::error::Error for SubError {}
+
+/// A standing-query group: `(ρ bits, l bits, resolved q_t)`. Bit
+/// patterns, so `0.05` and `0.05000…1` are distinct groups.
+pub type GroupKey = (u64, u64, Timestamp);
 
 /// One subscription's mutable state inside the table.
 #[derive(Clone, Debug)]
@@ -422,6 +467,45 @@ impl SubscriptionTable {
             degraded: false,
             resync,
         })
+    }
+
+    /// One maintenance pass at clock `now`. Subscriptions are grouped by
+    /// `(ρ, l, resolved q_t)` and `eval` computes each group's
+    /// full-domain answer once, in ascending [`GroupKey`] order. Each
+    /// subscription then commits that answer clipped to its region; when
+    /// `eval` fails, the group's subscriptions are marked degraded
+    /// instead (their committed answers stay authoritative but stale).
+    ///
+    /// Returns the patches in subscription-id order, and the live group
+    /// keys in ascending order so callers can drop cache entries of
+    /// groups no subscription targets anymore.
+    pub fn maintain(
+        &mut self,
+        now: Timestamp,
+        mut eval: impl FnMut(&PdrQuery) -> Result<RegionSet, StorageError>,
+    ) -> (Vec<AnswerDelta>, Vec<GroupKey>) {
+        let mut groups: BTreeMap<GroupKey, Vec<SubId>> = BTreeMap::new();
+        for s in self.subs() {
+            let key = (s.rho.to_bits(), s.l.to_bits(), s.policy.resolve(now));
+            groups.entry(key).or_default().push(s.id);
+        }
+        let mut deltas = Vec::new();
+        for (&(rho, l, q_t), ids) in &groups {
+            let q = PdrQuery::new(f64::from_bits(rho), f64::from_bits(l), q_t);
+            let full = eval(&q);
+            for &id in ids {
+                let d = match &full {
+                    Ok(full) => {
+                        let region = self.subs[&id.0].sub.region;
+                        self.commit(id, Self::clip(full, region), now, q_t)
+                    }
+                    Err(_) => self.mark_degraded(id, now, q_t),
+                };
+                deltas.extend(d);
+            }
+        }
+        deltas.sort_unstable_by_key(|d| d.id);
+        (deltas, groups.into_keys().collect())
     }
 
     /// Marks `id` degraded: the stored answer is left untouched (stale

@@ -26,8 +26,8 @@
 //! LEB128 varints with delta coding for ids, delta-of-delta for
 //! `t_now`, `t_ref` relative to its row's `t_now`, run-length coding
 //! for the (alternating) kind column, and XOR-predicted raw-bits f64
-//! columns (see [`crate::colcodec`]). [`replay`] and [`replay_any`]
-//! decode both codecs bit-exactly; a log may even interleave them,
+//! columns (see [`crate::colcodec`]). [`replay`] decodes both codecs
+//! bit-exactly; a log may even interleave them,
 //! since the codec is a per-record property of the payload tag.
 
 use crate::colcodec::{get_xor_column_classed, put_xor_column_classed};
@@ -692,12 +692,7 @@ fn decode_record(payload: &[u8]) -> Result<WalRecord, CodecError> {
 // Per-shard WAL segments
 // ---------------------------------------------------------------------
 
-/// Magic prefix of a per-shard WAL *segment*. A legacy single-file
-/// journal starts with a frame length (a small little-endian `u32`), so
-/// the two layouts are unambiguous: `b"PDWS"` decodes as the
-/// implausible frame length `0x5357_4450` (> 1 GiB), which
-/// [`replay`] treats as a torn tail rather than data, and no real
-/// frame can start with these bytes.
+/// Magic prefix of a per-shard WAL *segment*.
 const SEG_MAGIC: &[u8; 4] = b"PDWS";
 const SEG_VERSION: u16 = 1;
 
@@ -714,41 +709,11 @@ pub struct SegmentHeader {
 /// Encoded byte length of a segment header.
 pub const SEGMENT_HEADER_LEN: usize = 4 + 2 + 4 + 4;
 
-/// What kind of byte stream [`replay_any`] was handed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SegmentInfo {
-    /// A headerless journal written before the plane was sharded.
-    Legacy,
-    /// A per-shard segment with a complete, valid header.
-    Header(SegmentHeader),
-    /// Bytes that start with the full segment magic but end before
-    /// the header completes — a torn header write. The stream carries
-    /// no replayable records and no trustworthy shard identity; the
-    /// caller must treat the whole segment as torn, not as a legacy
-    /// journal.
-    TornHeader,
-}
-
-impl SegmentInfo {
-    /// The header, when a complete one was present.
-    pub fn header(self) -> Option<SegmentHeader> {
-        match self {
-            SegmentInfo::Header(h) => Some(h),
-            _ => None,
-        }
-    }
-}
-
-/// File name of shard `shard`'s WAL segment. The legacy single-file
-/// journal is [`LEGACY_JOURNAL_NAME`]; segment names embed a zero-padded
-/// shard index behind a distinct `.seg` infix, so no shard count can
-/// ever produce the legacy name (regression-tested).
+/// File name of shard `shard`'s WAL segment: a zero-padded shard index
+/// behind a `.seg` infix.
 pub fn segment_name(shard: u32) -> String {
     format!("journal.seg{shard:04}.wal")
 }
-
-/// The single-file journal name used before the plane was sharded.
-pub const LEGACY_JOURNAL_NAME: &str = "journal.wal";
 
 /// Encodes a segment header (prepend to an empty segment's bytes).
 pub fn encode_segment_header(h: SegmentHeader) -> Vec<u8> {
@@ -760,49 +725,10 @@ pub fn encode_segment_header(h: SegmentHeader) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Replays either layout: a headered per-shard segment, a legacy
-/// headerless journal, or a segment whose header write itself tore
-/// (classified [`SegmentInfo::TornHeader`], **not** misread as a
-/// legacy journal). This is the migration shim — a plane upgraded to
-/// per-shard segments keeps reading journals written before the
-/// upgrade.
-pub fn replay_any(bytes: &[u8]) -> Result<(SegmentInfo, WalReplay), CodecError> {
-    if bytes.len() >= 4 && &bytes[..4] == SEG_MAGIC {
-        if bytes.len() < SEGMENT_HEADER_LEN {
-            // The magic is unambiguous (no legacy frame can start with
-            // it), but the header tore mid-write: nothing after it is
-            // trustworthy.
-            return Ok((
-                SegmentInfo::TornHeader,
-                WalReplay {
-                    records: Vec::new(),
-                    torn_bytes: bytes.len(),
-                },
-            ));
-        }
-        let mut r = ByteReader::new(&bytes[..SEGMENT_HEADER_LEN]);
-        r.expect_magic(SEG_MAGIC)?;
-        let version = r.get_u16()?;
-        if version != SEG_VERSION {
-            return Err(CodecError::BadVersion(version));
-        }
-        let header = SegmentHeader {
-            shard: r.get_u32()?,
-            shards: r.get_u32()?,
-        };
-        return Ok((
-            SegmentInfo::Header(header),
-            replay(&bytes[SEGMENT_HEADER_LEN..])?,
-        ));
-    }
-    Ok((SegmentInfo::Legacy, replay(bytes)?))
-}
-
 impl Wal {
     /// An empty per-shard segment: its byte stream starts with the
-    /// encoded [`SegmentHeader`], so it can never be confused with (or
-    /// overwrite the meaning of) a legacy journal. Writes codec1
-    /// records; see [`Wal::new_segment_with`].
+    /// encoded [`SegmentHeader`]. Writes codec1 records; see
+    /// [`Wal::new_segment_with`].
     pub fn new_segment(header: SegmentHeader) -> Self {
         Wal::new_segment_with(header, WalCodec::V1)
     }
@@ -1062,118 +988,6 @@ mod tests {
                 bound
             );
         }
-    }
-
-    #[test]
-    fn segment_names_cannot_collide_with_legacy_journal() {
-        // Sweep a generous shard range: every segment name is distinct
-        // and none equals the legacy single-file journal name.
-        let mut seen = std::collections::HashSet::new();
-        for shard in 0..4096u32 {
-            let name = segment_name(shard);
-            assert_ne!(name, LEGACY_JOURNAL_NAME, "shard {shard}");
-            assert!(seen.insert(name), "duplicate segment name for {shard}");
-        }
-    }
-
-    #[test]
-    fn replay_any_reads_both_layouts() {
-        // New layout: headered per-shard segment.
-        let header = SegmentHeader {
-            shard: 3,
-            shards: 8,
-        };
-        for codec in WalCodec::ALL {
-            let mut seg = Wal::new_segment_with(header, codec);
-            seg.append_advance(7);
-            seg.append_batch(&sample_updates());
-            let (got, rep) = replay_any(seg.bytes()).expect("segment decodes");
-            assert_eq!(got, SegmentInfo::Header(header));
-            assert_eq!(rep.records.len(), 2);
-            assert_eq!(rep.records[0], WalRecord::Advance(7));
-
-            // Old layout: the same records written by a pre-shard
-            // journal are still replayed by the upgraded reader
-            // (migration shim).
-            let mut legacy = Wal::with_codec(codec);
-            legacy.append_advance(7);
-            legacy.append_batch(&sample_updates());
-            let (info, rep_legacy) = replay_any(legacy.bytes()).expect("legacy decodes");
-            assert_eq!(info, SegmentInfo::Legacy);
-            assert_eq!(rep_legacy.records, rep.records);
-
-            // A legacy reader fed a headered segment must not misparse
-            // it as records: the magic is an implausible frame length,
-            // so it reads as an all-torn tail, never as garbage
-            // updates.
-            let as_legacy = replay(seg.bytes()).expect("not a format error");
-            assert!(as_legacy.records.is_empty());
-            assert_eq!(as_legacy.torn_bytes, seg.bytes().len());
-
-            // Version gate.
-            let mut bad = seg.bytes().to_vec();
-            bad[4] = 9;
-            assert_eq!(replay_any(&bad).unwrap_err(), CodecError::BadVersion(9));
-        }
-    }
-
-    #[test]
-    fn torn_segment_header_is_classified_not_misread() {
-        // Kill a segment at every byte of its header. Once the full
-        // magic is visible the stream is unambiguously a segment with
-        // a torn header; before that it is indistinguishable from a
-        // legacy journal's torn frame header. In *every* case the
-        // replay yields zero records and reports all bytes torn —
-        // never a silent misread.
-        let mut seg = Wal::new_segment(SegmentHeader {
-            shard: 1,
-            shards: 4,
-        });
-        seg.append_advance(9);
-        let full = seg.bytes().to_vec();
-        for cut in 0..SEGMENT_HEADER_LEN {
-            let torn = &full[..cut];
-            let (info, rep) = replay_any(torn).expect("torn header tolerated");
-            if cut >= 4 {
-                assert_eq!(info, SegmentInfo::TornHeader, "cut at {cut}");
-                assert_eq!(info.header(), None);
-            } else {
-                assert_eq!(info, SegmentInfo::Legacy, "cut at {cut}");
-            }
-            assert!(rep.records.is_empty(), "cut at {cut}");
-            assert_eq!(rep.torn_bytes, cut, "cut at {cut}");
-        }
-        // One byte past the torn range: the complete header parses.
-        let (info, _) = replay_any(&full[..SEGMENT_HEADER_LEN]).expect("header decodes");
-        assert_eq!(
-            info,
-            SegmentInfo::Header(SegmentHeader {
-                shard: 1,
-                shards: 4
-            })
-        );
-    }
-
-    #[test]
-    fn segment_header_survives_torn_tail() {
-        let mut seg = Wal::new_segment(SegmentHeader {
-            shard: 0,
-            shards: 2,
-        });
-        seg.append_advance(1);
-        seg.append_batch(&sample_updates());
-        let full = seg.bytes().to_vec();
-        let torn = &full[..full.len() - 3];
-        let (h, rep) = replay_any(torn).expect("torn tail tolerated");
-        assert_eq!(
-            h,
-            SegmentInfo::Header(SegmentHeader {
-                shard: 0,
-                shards: 2
-            })
-        );
-        assert_eq!(rep.records, vec![WalRecord::Advance(1)]);
-        assert!(rep.torn_bytes > 0);
     }
 
     #[test]

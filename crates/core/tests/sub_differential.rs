@@ -7,11 +7,15 @@
 //!
 //! Runs at three plane shapes: unsharded FR, sharded 1×1 (the routing
 //! degenerate case), and sharded 2×2 (cut lines + halos + clipped
-//! merge). Crash recovery restores the last checkpoint and replays the
-//! logged traffic (the serve driver's protocol), so catch-up deltas
-//! after a crash are exercised too.
+//! merge), and on the engines whose maintenance runs through the shared
+//! loop with other evaluators: DH (optimistic and pessimistic, with its
+//! epoch-cached groups) and PA (the default recompute). Crash recovery
+//! restores the last checkpoint and replays the logged traffic (the
+//! serve driver's protocol), so catch-up deltas after a crash are
+//! exercised too; engines without checkpoints (DH) skip the crash and
+//! checkpoint steps.
 
-use pdr_core::{EngineSpec, FrConfig, PdrQuery, QtPolicy, SubscriptionTable};
+use pdr_core::{DhMode, EngineSpec, FrConfig, PaConfig, PdrQuery, QtPolicy, SubscriptionTable};
 use pdr_geometry::{Point, Rect};
 use pdr_mobject::{MotionState, ObjectId, TimeHorizon, Update};
 use std::collections::BTreeMap;
@@ -79,7 +83,7 @@ fn random_region(rng: &mut Lcg) -> Rect {
     )
 }
 
-fn run_fuzz(spec: &EngineSpec, seed: u64, steps: usize) {
+fn run_fuzz(spec: &EngineSpec, seed: u64, steps: usize, checkpoints: bool) {
     let mut rng = Lcg(seed);
     let mut eng = spec.build(0);
     let mut now = 0u64;
@@ -96,7 +100,7 @@ fn run_fuzz(spec: &EngineSpec, seed: u64, steps: usize) {
     live.extend(initial.iter().copied());
     eng.bulk_load(&initial, 0);
 
-    let mut cp = eng.checkpoint().expect("FR planes are checkpointable");
+    let mut cp = checkpoints.then(|| eng.checkpoint().expect("FR planes are checkpointable"));
     let mut log: Vec<LogRec> = Vec::new();
     // Delta-replayed mirrors, one per live subscription, fed *only* by
     // emitted patches — they must track the table bit-for-bit.
@@ -134,13 +138,14 @@ fn run_fuzz(spec: &EngineSpec, seed: u64, steps: usize) {
                 eng.advance_to(now);
                 log.push(LogRec::Advance(now));
             }
-            4 => {
+            4 if checkpoints => {
                 // Crash: restore the last checkpoint and replay the log,
                 // exactly like the serve driver's recovery protocol. The
                 // subscription tables are engine-plane state and survive;
                 // the incremental caches do not, so the next maintenance
                 // pass must emit exact catch-up patches.
-                eng.restore_from(&cp).expect("recovery from own checkpoint");
+                let cp = cp.as_ref().expect("checkpoint taken at start");
+                eng.restore_from(cp).expect("recovery from own checkpoint");
                 for rec in &log {
                     match rec {
                         LogRec::Advance(t) => eng.advance_to(*t),
@@ -148,10 +153,11 @@ fn run_fuzz(spec: &EngineSpec, seed: u64, steps: usize) {
                     }
                 }
             }
-            5 => {
-                cp = eng.checkpoint().expect("checkpoint");
+            5 if checkpoints => {
+                cp = Some(eng.checkpoint().expect("checkpoint"));
                 log.clear();
             }
+            4 | 5 => {}
             _ => {
                 let mut batch = Vec::new();
                 for _ in 0..(1 + rng.below(15)) {
@@ -216,7 +222,7 @@ fn run_fuzz(spec: &EngineSpec, seed: u64, steps: usize) {
 
 #[test]
 fn unsharded_fr_deltas_match_from_scratch_queries() {
-    run_fuzz(&EngineSpec::Fr(fr_cfg()), 0xDEAD_BEEF, 70);
+    run_fuzz(&EngineSpec::Fr(fr_cfg()), 0xDEAD_BEEF, 70, true);
 }
 
 #[test]
@@ -228,7 +234,7 @@ fn sharded_1x1_deltas_match_from_scratch_queries() {
         sy: 1,
         l_max: 12.0,
     };
-    run_fuzz(&spec, 0xC0FFEE, 70);
+    run_fuzz(&spec, 0xC0FFEE, 70, true);
 }
 
 #[test]
@@ -240,5 +246,38 @@ fn sharded_2x2_deltas_match_from_scratch_queries() {
         sy: 2,
         l_max: 12.0,
     };
-    run_fuzz(&spec, 0x5EED, 70);
+    run_fuzz(&spec, 0x5EED, 70, true);
+}
+
+#[test]
+fn dh_optimistic_deltas_match_from_scratch_queries() {
+    run_fuzz(
+        &EngineSpec::Dh(fr_cfg(), DhMode::Optimistic),
+        0xD0_0D,
+        70,
+        false,
+    );
+}
+
+#[test]
+fn dh_pessimistic_deltas_match_from_scratch_queries() {
+    run_fuzz(
+        &EngineSpec::Dh(fr_cfg(), DhMode::Pessimistic),
+        0xFACADE,
+        70,
+        false,
+    );
+}
+
+#[test]
+fn pa_deltas_match_from_scratch_queries() {
+    let spec = EngineSpec::Pa(PaConfig {
+        extent: EXTENT,
+        g: 5,
+        degree: 5,
+        l: 12.0,
+        horizon: TimeHorizon::new(4, 4),
+        m_d: 100,
+    });
+    run_fuzz(&spec, 0xBEEF_CAFE, 70, true);
 }

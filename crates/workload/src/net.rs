@@ -45,10 +45,12 @@
 //! absolute timestamp. A `query`/`check` with a negative or non-finite
 //! `rho`, a non-positive or non-finite `l`, an `l` the engine refuses
 //! (below twice its filter's cell edge, or beyond a sharded plane's
-//! `l_max`), or a `q_t` that overflows the clock is answered
-//! `{"ok":false,"error":"bad_query","detail":…}` and counted neither
-//! served nor failed. A `subscribe` whose parameters the engine refuses
-//! gets the same `bad_query` answer and is not registered.
+//! `l_max`), a `q_t` that overflows the clock, or a resolved `q_t`
+//! outside the engine's horizon window `[now, now + H]` is answered
+//! `{"ok":false,"error":"bad_query","detail":…}` before the engine runs
+//! and counted neither served nor failed. A `subscribe` whose
+//! parameters the engine refuses (the same `l` and `q_t` checks) gets
+//! the same `bad_query` answer and is not registered.
 //!
 //! ## Subscriptions
 //!
@@ -59,10 +61,11 @@
 //! delta — everything `added` — so a client reconstructs the standing
 //! answer *purely* by replaying deltas. Each `tick` drains the
 //! engines' incremental maintenance output and routes every delta to
-//! the connection owning its subscription, bounded by [`SUB_BUF_CAP`]
-//! per connection: on overflow the buffer is dropped and the next
-//! `poll_deltas` reports `"lost":true`, telling the client its replayed
-//! answer is stale and it must resubscribe. A `"degraded":true` delta
+//! the connection owning its subscription, bounded per connection by
+//! [`SUB_BUF_CAP`] deltas and by what one `poll_deltas` frame can carry
+//! ([`MAX_FRAME`] bytes): on either overflow the buffer is dropped and
+//! the next `poll_deltas` reports `"lost":true`, telling the client its
+//! replayed answer is stale and it must resubscribe. A `"degraded":true` delta
 //! means the same thing (the engine crash-recovered or a shard went
 //! offline mid-maintenance). Closing a connection unregisters its
 //! subscriptions.
@@ -134,8 +137,8 @@
 use crate::netfault::{FrameFault, NetFaultInjector};
 use crate::serve::{FaultPolicy, ServeDriver};
 use pdr_core::{
-    AnswerDelta, Executor, LogShipment, PdrQuery, QtPolicy, RecoverError, ShippedSegment, SubError,
-    SubId,
+    AnswerDelta, DensityEngine, Executor, LogShipment, PdrQuery, QtPolicy, RecoverError,
+    ShippedSegment, SubError, SubId,
 };
 use pdr_geometry::Rect;
 use std::collections::HashMap;
@@ -153,6 +156,11 @@ pub const MAX_FRAME: usize = 1 << 22;
 /// Most deltas buffered per connection between `poll_deltas` calls;
 /// beyond this the buffer is dropped and the connection flagged lost.
 pub const SUB_BUF_CAP: usize = 1024;
+
+/// Bytes a `poll_deltas` frame adds around its buffered deltas: the
+/// `{"ok":true,"lost":false,"deltas":[` head, the `]}` tail and an
+/// echoed `"id"` of up to 20 digits, rounded up.
+const POLL_FRAME_OVERHEAD: usize = 64;
 
 // ---------------------------------------------------------------------
 // Minimal JSON value + parser (server side of the wire protocol; the
@@ -984,21 +992,22 @@ fn route_deltas(shared: &NetShared, pending: Vec<(String, AnswerDelta)>) -> usiz
         if buf.lost {
             continue;
         }
-        if buf.count >= SUB_BUF_CAP {
-            // A slow poller: keeping a torn prefix would let the client
-            // replay a wrong answer, so drop everything and flag it.
-            *buf = ConnDeltas {
-                lost: true,
-                ..ConnDeltas::default()
-            };
-            continue;
-        }
         if buf.count > 0 {
             buf.json.push(',');
         }
         let _ = write!(buf.json, "{{\"engine\":{label:?},\"delta\":");
         d.write_json(&mut buf.json);
         buf.json.push('}');
+        if buf.count >= SUB_BUF_CAP || buf.json.len() + POLL_FRAME_OVERHEAD > MAX_FRAME {
+            // A slow poller, or one whose next poll would not fit in a
+            // frame: keeping a torn prefix would let the client replay
+            // a wrong answer, so drop everything and flag it.
+            *buf = ConnDeltas {
+                lost: true,
+                ..ConnDeltas::default()
+            };
+            continue;
+        }
         buf.count += 1;
         routed += 1;
     }
@@ -1343,8 +1352,11 @@ fn serve_subscribe(
             None => return err_json("no engines registered"),
         },
     };
-    if d.engine(&label).is_none() {
+    let Some(engine) = d.engine(&label) else {
         return err_json("no such engine");
+    };
+    if let Err(resp) = resolve_q_t(&d, Some(engine), l, q_t) {
+        return resp;
     }
     match d.subscribe_on(&label, rho, l, region, QtPolicy::NowPlus(q_t)) {
         Ok(sid) => {
@@ -1549,7 +1561,7 @@ fn serve_sync(
                          \"attempts\":{attempts}}}"
                     );
                 }
-                backoff_us(policy, attempts, rng);
+                policy.backoff(attempts, rng);
                 continue;
             }
         };
@@ -1582,7 +1594,7 @@ fn serve_sync(
                 if retriable && attempts < policy.max_attempts {
                     force_bootstrap = true;
                     drop(d);
-                    backoff_us(policy, attempts, rng);
+                    policy.backoff(attempts, rng);
                     continue;
                 }
                 return format!(
@@ -1694,37 +1706,29 @@ fn serve_query(
             Some(label) => d.engine(label),
             None => d.labels().first().and_then(|l| d.engine(l)),
         };
-        // `q_t` is an offset into the prediction window, resolved
-        // against the serving clock under the same read lock the query
-        // runs under — a concurrent tick cannot strand it mid-request.
-        // On a primary that clock is the simulator's; on a replica it
-        // is the applied protocol time of the replicated stream (the
-        // local simulator never ticks), so at equal applied offsets the
-        // same `q_t` hits the same absolute timestamp on both.
-        let clock = match engine.and_then(|e| e.as_replica()) {
-            Some(rep) => rep.applied_t(),
-            None => d.simulator().t_now(),
+        // Resolved under the same read lock the query runs under — a
+        // concurrent tick cannot strand it mid-request. Refused here,
+        // where the clock is read: the slot is released and the query
+        // counted neither served nor failed.
+        let t_abs = match resolve_q_t(&d, engine, l, q_t) {
+            Ok(t) => t,
+            Err(resp) => {
+                shared.inflight.fetch_sub(1, Ordering::SeqCst);
+                return resp;
+            }
         };
-        // Checked here, where the clock is read: the slot is released
-        // and the query counted neither served nor failed.
-        let Some(t_abs) = clock.checked_add(q_t) else {
-            shared.inflight.fetch_sub(1, Ordering::SeqCst);
-            return bad_query("q_t overflows the serving clock");
-        };
-        if let Some(Err(e)) = engine.map(|e| e.check_query_edge(l)) {
-            shared.inflight.fetch_sub(1, Ordering::SeqCst);
-            return bad_query(&e.to_string());
-        }
         let q = PdrQuery::new(rho, l, t_abs);
         let answer = match engine {
             None => Err(err_json("no such engine")),
             Some(engine) => {
                 // Transient faults retry in place under the read lock —
                 // the query path is `&self`, so no recovery is needed
-                // for a retry to be meaningful. A panic (e.g. an offset
-                // outside the engine's horizon) is answered as an
-                // error, not a dead connection; the read path mutates
-                // no engine state that could be observed broken.
+                // for a retry to be meaningful. A panic is answered as
+                // an error, not a dead connection: the only state the
+                // read path updates, FR's classification cache, stays
+                // valid at every step and recovers from a lock the
+                // panic poisoned. Parameters the engine cannot evaluate
+                // never get here (`resolve_q_t`).
                 let mut attempt = 1;
                 loop {
                     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1733,7 +1737,7 @@ fn serve_query(
                     match r {
                         Ok(Ok(a)) => break Ok((a, attempt)),
                         Ok(Err(_)) if attempt < policy.max_attempts => {
-                            backoff_us(policy, attempt, rng);
+                            policy.backoff(attempt, rng);
                             attempt += 1;
                         }
                         Ok(Err(e)) => {
@@ -1816,20 +1820,30 @@ fn serve_query(
     }
 }
 
-/// Seeded jittered exponential backoff (mirrors the serve loop's).
-fn backoff_us(policy: &FaultPolicy, attempt: u32, rng: &mut u64) {
-    let base = policy
-        .backoff_base_us
-        .saturating_mul(1u64 << attempt.min(16));
-    let delay = base.min(policy.backoff_cap_us.max(policy.backoff_base_us));
-    if delay == 0 {
-        return;
+/// Resolves a wire `q_t` offset to an absolute timestamp against the
+/// serving clock of `engine`, refusing what the engine cannot evaluate
+/// (`Err` is the `bad_query` response). On a primary the clock is the
+/// simulator's; on a replica it is the applied protocol time of the
+/// replicated stream (the local simulator never ticks), so at equal
+/// applied offsets the same `q_t` hits the same absolute timestamp on
+/// both.
+fn resolve_q_t(
+    d: &ServeDriver,
+    engine: Option<&dyn DensityEngine>,
+    l: f64,
+    q_t: u64,
+) -> Result<u64, String> {
+    let clock = match engine.and_then(|e| e.as_replica()) {
+        Some(rep) => rep.applied_t(),
+        None => d.simulator().t_now(),
+    };
+    let t_abs = clock
+        .checked_add(q_t)
+        .ok_or_else(|| bad_query("q_t overflows the serving clock"))?;
+    if let Some(Err(e)) = engine.map(|e| e.check_query_edge(l, Some(t_abs))) {
+        return Err(bad_query(&e.to_string()));
     }
-    *rng ^= *rng << 13;
-    *rng ^= *rng >> 7;
-    *rng ^= *rng << 17;
-    let x = rng.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    std::thread::sleep(Duration::from_micros(delay / 2 + x % (delay / 2 + 1)));
+    Ok(t_abs)
 }
 
 fn with_client(shared: &NetShared, id: usize, f: impl FnOnce(&mut ClientNetStats)) {
@@ -2588,6 +2602,134 @@ mod tests {
     /// A frame truncated at *every* possible byte boundary — inside the
     /// length prefix and inside the payload — must surface as an error,
     /// never as a silent short read or a hang.
+    /// A `query` whose `q_t` lies beyond the engine's horizon is refused
+    /// as `bad_query` before it reaches the engine. It used to panic
+    /// inside FR's classification cache with the cache lock held, and
+    /// the poisoned lock then failed every later query.
+    #[test]
+    fn out_of_horizon_query_is_refused_and_serving_continues() {
+        let server = NetServer::bind(
+            "127.0.0.1:0",
+            driver(200),
+            FaultPolicy::default(),
+            NetServerConfig::default(),
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || server.serve());
+        let mut c = NetClient::connect(&addr).unwrap();
+        let r = c
+            .request("{\"op\":\"query\",\"rho\":0.015,\"l\":20.0,\"q_t\":1000}")
+            .unwrap();
+        assert_eq!(
+            r.get("error").and_then(Json::as_str),
+            Some("bad_query"),
+            "{r:?}"
+        );
+        let r = c
+            .request("{\"op\":\"query\",\"rho\":0.015,\"l\":20.0,\"q_t\":1}")
+            .unwrap();
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
+        c.request("{\"op\":\"shutdown\"}").unwrap();
+        let summary = server.join().unwrap();
+        for key in [
+            "\"served\":1,",
+            "\"failed_queries\":0,",
+            "\"leaked_workers\":0",
+        ] {
+            assert!(summary.contains(key), "{key}: {summary}");
+        }
+    }
+
+    /// A `subscribe` whose `q_t` lies beyond the engine's horizon is
+    /// refused as `bad_query` and not registered. It used to get no
+    /// reply, stay registered, and kill the connection of every later
+    /// `tick` that maintained it.
+    #[test]
+    fn out_of_horizon_subscribe_is_refused_and_ticks_continue() {
+        let server = NetServer::bind(
+            "127.0.0.1:0",
+            driver(200),
+            FaultPolicy::default(),
+            NetServerConfig::default(),
+        )
+        .unwrap();
+        let addr = server.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || server.serve());
+        let mut c = NetClient::connect(&addr).unwrap();
+        let r = c
+            .request("{\"op\":\"subscribe\",\"rho\":0.015,\"l\":20.0,\"q_t\":1000}")
+            .unwrap();
+        assert_eq!(
+            r.get("error").and_then(Json::as_str),
+            Some("bad_query"),
+            "{r:?}"
+        );
+        let r = c.request("{\"op\":\"tick\"}").unwrap();
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
+        let r = c
+            .request("{\"op\":\"query\",\"rho\":0.015,\"l\":20.0,\"q_t\":1}")
+            .unwrap();
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
+        c.request("{\"op\":\"shutdown\"}").unwrap();
+        let summary = server.join().unwrap();
+        for key in ["\"failed_queries\":0,", "\"leaked_workers\":0"] {
+            assert!(summary.contains(key), "{key}: {summary}");
+        }
+    }
+
+    /// Deltas that would push the next `poll_deltas` frame past
+    /// [`MAX_FRAME`] drop the connection's buffer and flag it lost,
+    /// well below [`SUB_BUF_CAP`] deltas: the poll answers `"lost":true`
+    /// instead of failing to write an oversized frame and closing the
+    /// connection.
+    #[test]
+    fn oversized_delta_backlog_is_flagged_lost_not_a_dead_connection() {
+        let server = NetServer::bind(
+            "127.0.0.1:0",
+            driver(200),
+            FaultPolicy::default(),
+            NetServerConfig::default(),
+        )
+        .unwrap();
+        let shared = Arc::clone(&server.shared);
+        let addr = server.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || server.serve());
+        let mut c = NetClient::connect(&addr).unwrap();
+        let r = c
+            .request("{\"op\":\"subscribe\",\"rho\":0.015,\"l\":20.0,\"q_t\":1}")
+            .unwrap();
+        let sub = r.get("sub").and_then(Json::as_u64).expect("subscribed");
+        // ~1.9 MB of JSON per delta: three of them overflow the frame.
+        let added: Vec<Rect> = (0..30_000)
+            .map(|i| {
+                let x = f64::from(i) * 0.013_579_246_8;
+                Rect::new(x, x + 0.1, x + 0.2, x + 0.3)
+            })
+            .collect();
+        for _ in 0..3 {
+            let big = AnswerDelta {
+                id: SubId(sub),
+                now: 0,
+                q_t: 1,
+                added: added.clone(),
+                removed: Vec::new(),
+                degraded: false,
+                resync: false,
+            };
+            route_deltas(&shared, vec![("fr".to_string(), big)]);
+        }
+        let r = c.request("{\"op\":\"poll_deltas\"}").unwrap();
+        assert_eq!(r.get("lost").and_then(Json::as_bool), Some(true), "{r:?}");
+        let r = c.request("{\"op\":\"tick\"}").unwrap();
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r:?}");
+        let r = c.request("{\"op\":\"poll_deltas\"}").unwrap();
+        assert_eq!(r.get("lost").and_then(Json::as_bool), Some(false), "{r:?}");
+        c.request("{\"op\":\"shutdown\"}").unwrap();
+        let summary = server.join().unwrap();
+        assert!(summary.contains("\"leaked_workers\":0"), "{summary}");
+    }
+
     #[test]
     fn torn_frames_error_at_every_byte_boundary() {
         let mut buf = Vec::new();

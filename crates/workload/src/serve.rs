@@ -181,6 +181,26 @@ pub fn default_deadline() -> Duration {
     }
 }
 
+impl FaultPolicy {
+    /// Sleeps before retry `attempt`: exponential backoff from
+    /// `backoff_base_us` doubling per attempt up to `backoff_cap_us`,
+    /// jittered over the delay's upper half by one xorshift64* step of
+    /// `rng` (the generator family the fault plan uses), so runs with
+    /// the same seed retry at identical points.
+    pub fn backoff(&self, attempt: u32, rng: &mut u64) {
+        let base = self.backoff_base_us.saturating_mul(1u64 << attempt.min(16));
+        let delay = base.min(self.backoff_cap_us.max(self.backoff_base_us));
+        if delay == 0 {
+            return;
+        }
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        let x = rng.wrapping_mul(0x2545_F491_4F6C_DD1D);
+        std::thread::sleep(Duration::from_micros(delay / 2 + x % (delay / 2 + 1)));
+    }
+}
+
 impl Default for FaultPolicy {
     fn default() -> Self {
         FaultPolicy {
@@ -1228,24 +1248,6 @@ impl ServeDriver {
     }
 }
 
-/// Seeded jittered exponential backoff before retry `attempt`
-/// (xorshift64*, the same generator family the fault plan uses).
-fn backoff(policy: &FaultPolicy, attempt: u32, rng: &mut u64) {
-    let base = policy
-        .backoff_base_us
-        .saturating_mul(1u64 << attempt.min(16));
-    let delay = base.min(policy.backoff_cap_us.max(policy.backoff_base_us));
-    if delay == 0 {
-        return;
-    }
-    *rng ^= *rng << 13;
-    *rng ^= *rng >> 7;
-    *rng ^= *rng << 17;
-    let x = rng.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    let jittered = delay / 2 + x % (delay / 2 + 1);
-    std::thread::sleep(Duration::from_micros(jittered));
-}
-
 /// Restores `s` from its latest checkpoint and replays the WAL tail,
 /// banking the failed device's fault counters first (the restore
 /// replaces the device, and its counters with it). Returns `false`
@@ -1355,7 +1357,7 @@ fn serve_with_faults(
         if err.is_transient() && attempts < policy.max_attempts {
             attempts += 1;
             s.load.retries += 1;
-            backoff(policy, attempts, rng);
+            policy.backoff(attempts, rng);
             continue;
         }
         if err.is_corruption() && !recovered {

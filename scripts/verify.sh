@@ -224,6 +224,26 @@ serve_tcp_smoke() {
                 ;;
         esac
     done
+    # One query whose q_t lies beyond the horizon (H = 20 here): it
+    # must be refused with a typed bad_query before it reaches the
+    # engine (it used to panic FR's classification cache and fail every
+    # later query on the server).
+    bad='{"op":"query","rho":0.015,"l":20.0,"q_t":1000}'
+    header="$(printf '\\x%02x' 0 0 0 "${#bad}")"
+    resp=""
+    if exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"; then
+        # shellcheck disable=SC2059 # header holds \x escapes
+        printf "$header%s" "$bad" >&3
+        IFS= read -r -t 5 -d '}' -u 3 resp
+        exec 3<&- 3>&-
+    fi
+    case "$resp" in
+        *'"error":"bad_query"'*) ;;
+        *)
+            echo "FAIL: out-of-horizon query not refused with bad_query: $resp"
+            fail=1
+            ;;
+    esac
     if ! target/release/pdrcli client --connect "$addr" \
             --ticks 10 --queries 4 --l 20 --count 8 >"$clientlog" 2>&1; then
         echo "FAIL: TCP client exited nonzero"
@@ -328,6 +348,25 @@ sub_smoke() {
         *'"error":"bad_query"'*) ;;
         *)
             echo "FAIL: small-l subscribe not refused with bad_query: $resp"
+            fail=1
+            ;;
+    esac
+    # One subscribe whose q_t lies beyond the horizon (H = 20 here): it
+    # must be refused with bad_query and not registered (it used to get
+    # no reply and break every later tick).
+    bad='{"op":"subscribe","rho":0.015,"l":25.0,"q_t":1000}'
+    header="$(printf '\\x%02x' 0 0 0 "${#bad}")"
+    resp=""
+    if exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"; then
+        # shellcheck disable=SC2059 # header holds \x escapes
+        printf "$header%s" "$bad" >&3
+        IFS= read -r -t 5 -d '}' -u 3 resp
+        exec 3<&- 3>&-
+    fi
+    case "$resp" in
+        *'"error":"bad_query"'*) ;;
+        *)
+            echo "FAIL: out-of-horizon subscribe not refused with bad_query: $resp"
             fail=1
             ;;
     esac
