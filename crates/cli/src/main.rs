@@ -3,7 +3,7 @@
 //! ```text
 //! pdrcli generate --objects 10000 --extent 1000 --seed 7 --out objects.csv
 //! pdrcli query    --data objects.csv --extent 1000 --l 30 --count 15 --at 10 [--method fr|pa] [--threads N]
-//! pdrcli serve    --objects 5000 --extent 1000 --ticks 20 --l 30 --count 15 [--seed S] [--metrics FILE] [--fault-plan FILE] [--buffer-pages N]
+//! pdrcli serve    --objects 5000 --extent 1000 --ticks 20 --l 30 --count 15 [--seed S] [--metrics FILE] [--fault-plan FILE] [--buffer-pages N] [--journal TICKS] [--shards SxS]
 //! pdrcli hotspots --data objects.csv --extent 1000 --l 30 --at 10 --top 5
 //! ```
 //!
@@ -13,17 +13,25 @@
 //! per-engine load; `hotspots` prints the top-k density peaks from the
 //! approximate engine.
 //!
+//! `serve` always runs each engine inside the sharded plane
+//! (`EngineSpec::Sharded`, `--shards 1x1` by default — bit-identical to
+//! the bare engine). The plane's per-leaf WAL segments and stored
+//! checkpoints are the one durability path: detected corruption is
+//! repaired shard-locally from them.
+//!
 //! `serve --fault-plan FILE` installs a deterministic fault-injection
 //! schedule beneath the FR engine's storage plane (see
-//! [`FaultPlan::parse`] for the grammar) and turns on write-ahead
-//! journaling so detected corruption and ingest crashes recover from
-//! the latest checkpoint. Pair it with `--buffer-pages` small enough
+//! [`FaultPlan::parse`] for the grammar) and turns on ingest-crash
+//! recovery with a plane checkpoint every `--journal` ticks (default
+//! 5), so an ingest crash restores the crashed shards and replays their
+//! segment tails; `--journal 0` turns it off, and a crashed engine then
+//! serves offline-degraded. Pair it with `--buffer-pages` small enough
 //! that the index actually pages — a pool that fits the working set
 //! never performs the physical I/O faults are injected into.
 //!
 //! All engines are constructed through [`EngineSpec`] and queried
-//! through the [`DensityEngine`] trait — the CLI never touches
-//! concrete engine wiring.
+//! through the [`DensityEngine`](pdr_core::DensityEngine) trait — the
+//! CLI never touches concrete engine wiring.
 
 use pdr_core::{
     AnswerDelta, EngineSpec, FrConfig, PaConfig, PaEngine, PdrQuery, SubId, SubscriptionTable,
@@ -74,7 +82,7 @@ fn usage(msg: &str) -> ExitCode {
          pdrcli query --data FILE --l EDGE --count MIN_OBJECTS --at T [--extent L] [--method fr|pa] [--threads N]\n  \
          pdrcli serve --objects N --ticks T --l EDGE --count MIN_OBJECTS [--extent L] [--seed S] [--threads N] [--clients N] [--subs N] [--metrics FILE] [--fault-plan FILE] [--buffer-pages N] [--journal TICKS] [--shards SxS] [--adaptive] [--split-threshold N] [--merge-threshold N]\n  \
          pdrcli serve --listen ADDR [--port-file FILE] [--capacity N] [--deadline-ms N] [--net-fault-plan FILE] [--objects N ...]\n  \
-         pdrcli serve --listen ADDR --replica-of PRIMARY_ADDR --shards SxS [--objects N ...]\n  \
+         pdrcli serve --listen ADDR --replica-of PRIMARY_ADDR [--shards SxS] [--objects N ...]\n  \
          pdrcli client --connect ADDR [--ticks T] [--queries M] [--subs N] [--replica REPLICA_ADDR] [--failover ADDR,...] [--keep-open] [--rebalance] [--net-fault-plan FILE] [--l EDGE] [--count MIN_OBJECTS]\n  \
          pdrcli hotspots --data FILE --l EDGE --at T [--extent L] [--top K]"
     );
@@ -100,9 +108,11 @@ struct Options {
     metrics: Option<String>,
     fault_plan: Option<String>,
     buffer_pages: usize,
+    /// `serve`: plane checkpoint cadence in ticks for ingest-crash
+    /// recovery under a fault plan; 0 = no recovery.
     journal: u64,
-    /// Shard grid `(sx, sy)` for `serve`; `None` = unsharded engines.
-    shards: Option<(u32, u32)>,
+    /// Shard grid `(sx, sy)` every `serve` engine runs in (1x1 default).
+    shards: (u32, u32),
     /// `serve`: expose the driver over TCP instead of the local loop.
     listen: Option<String>,
     /// `serve --listen`: write the bound address here once listening.
@@ -137,7 +147,7 @@ struct Options {
     /// a later client picks up where this one stopped.
     keep_open: bool,
     /// `serve`: let the shard plane split hot leaves and merge cold
-    /// sibling groups on its own (requires `--shards`).
+    /// sibling groups on its own.
     adaptive: bool,
     /// `serve --adaptive`: owned-object count above which a leaf splits.
     split_threshold: u64,
@@ -169,8 +179,8 @@ impl Options {
             metrics: None,
             fault_plan: None,
             buffer_pages: 512,
-            journal: 5, // checkpoint cadence in ticks; 0 = no journal
-            shards: None,
+            journal: 5, // checkpoint cadence in ticks; 0 = no recovery
+            shards: (1, 1),
             listen: None,
             port_file: None,
             capacity: 32,
@@ -266,7 +276,7 @@ impl Options {
                     if sx == 0 || sy == 0 {
                         return Err(bad(key));
                     }
-                    o.shards = Some((sx, sy));
+                    o.shards = (sx, sy);
                 }
                 other => return Err(format!("unknown flag {other}")),
             }
@@ -413,6 +423,30 @@ fn cmd_query(o: &Options) -> Result<(), String> {
     tolerate_broken_pipe(write)
 }
 
+/// The spec every served engine is built from: `method` inside the
+/// shared-nothing shard router (`EngineSpec::Sharded`, `--shards SxS`,
+/// 1x1 by default) — same answers rect-for-rect as the bare engine,
+/// per-shard storage/WAL/checkpoints, and a per-shard block in the
+/// metrics JSON. `adaptive` installs the split/merge policy.
+fn plane_spec(
+    method: &str,
+    o: &Options,
+    horizon: TimeHorizon,
+    adaptive: bool,
+) -> Result<EngineSpec, String> {
+    Ok(EngineSpec::Sharded {
+        adaptive: adaptive.then(|| pdr_core::SplitPolicy {
+            split_threshold: o.split_threshold,
+            merge_threshold: o.merge_threshold,
+            ..Default::default()
+        }),
+        inner: Box::new(engine_spec(method, o, horizon)?),
+        sx: o.shards.0,
+        sy: o.shards.1,
+        l_max: o.l,
+    })
+}
+
 fn cmd_serve(o: &Options) -> Result<(), String> {
     if o.replica_of.is_some() {
         return cmd_serve_replica(o);
@@ -432,49 +466,28 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
     let rho = o.count / (o.l * o.l);
 
     // Both engines, built declaratively, served by the one driver.
-    // `--shards SxS` wraps each spec in the shared-nothing shard router
-    // (`EngineSpec::Sharded`): same answers rect-for-rect, per-shard
-    // storage/WAL, and a per-shard block in the metrics JSON.
-    let spec_for = |method: &str| -> Result<EngineSpec, String> {
-        let inner = engine_spec(method, o, horizon)?;
-        Ok(match o.shards {
-            Some((sx, sy)) => EngineSpec::Sharded {
-                adaptive: o.adaptive.then(|| pdr_core::SplitPolicy {
-                    split_threshold: o.split_threshold,
-                    merge_threshold: o.merge_threshold,
-                    ..Default::default()
-                }),
-                inner: Box::new(inner),
-                sx,
-                sy,
-                l_max: o.l,
-            },
-            None => inner,
-        })
-    };
+    let (sx, sy) = o.shards;
     let mut driver = ServeDriver::new(sim, CostModel::PAPER_DEFAULT)
-        .with_engine("fr", spec_for("fr")?.build(0))
-        .with_engine("pa", spec_for("pa")?.build(0));
+        .with_engine("fr", plane_spec("fr", o, horizon, o.adaptive)?.build(0))
+        .with_engine("pa", plane_spec("pa", o, horizon, o.adaptive)?.build(0));
     driver.bootstrap();
-    if let Some((sx, sy)) = o.shards {
-        if o.adaptive {
-            eprintln!(
-                "# engines sharded {sx}x{sy} adaptive (split>{} merge<{})",
-                o.split_threshold, o.merge_threshold
-            );
-        } else {
-            eprintln!("# engines sharded {sx}x{sy} (halo l/2, per-shard WAL segments)");
-        }
+    if o.adaptive {
+        eprintln!(
+            "# engines sharded {sx}x{sy} adaptive (split>{} merge<{})",
+            o.split_threshold, o.merge_threshold
+        );
+    } else {
+        eprintln!("# engines sharded {sx}x{sy} (halo l/2, per-shard WAL segments)");
     }
 
     if let Some(path) = &o.fault_plan {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("reading fault plan {path}: {e}"))?;
         let plan = FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        // Journal first: the checkpoint + WAL make detected corruption
-        // and ingest crashes recoverable once faults start firing.
-        // `--journal 0` turns recovery off, so persistent faults take
-        // the engine offline-degraded instead.
+        // Recovery first: the planes' segments and refreshed
+        // checkpoints make ingest crashes recoverable once faults start
+        // firing. `--journal 0` turns recovery off, so a crashed engine
+        // serves offline-degraded instead.
         if o.journal > 0 {
             driver.enable_journal(o.journal);
         }
@@ -581,28 +594,18 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
 /// over the wire (`ship_log` with empty offsets cuts a sealed
 /// checkpoint + segment tails), and serves query/subscribe traffic
 /// read-only. Clients refresh the replica with the `sync` op; `tick`
-/// is refused. The grid must match the primary's (`--shards SxS` plus
-/// the same engine geometry flags).
+/// is refused. The grid must match the primary's (the same `--shards`,
+/// 1x1 by default, plus the same engine geometry flags).
 fn cmd_serve_replica(o: &Options) -> Result<(), String> {
     let primary = o.replica_of.clone().expect("checked by cmd_serve");
     let addr = o
         .listen
         .as_ref()
         .ok_or("serve --replica-of requires --listen")?;
-    let Some((sx, sy)) = o.shards else {
-        return Err(
-            "serve --replica-of requires --shards SxS (replicas ship per-shard logs)".into(),
-        );
-    };
     let horizon = TimeHorizon::new(10, 10);
-    let spec = EngineSpec::Sharded {
-        adaptive: None,
-        inner: Box::new(engine_spec("fr", o, horizon)?),
-        sx,
-        sy,
-        l_max: o.l,
-    };
-    let engine = spec.try_build_replica(0).map_err(|e| e.to_string())?;
+    let engine = plane_spec("fr", o, horizon, false)?
+        .try_build_replica(0)
+        .map_err(|e| e.to_string())?;
 
     // The simulator is inert here — a replica front-end refuses `tick`
     // and resolves query times against its applied clock — but the

@@ -949,16 +949,6 @@ pub enum EngineSpecError {
     NestedSharding,
     /// The sharded plane's `l_max` is non-finite or non-positive.
     InvalidLMax(f64),
-    /// A registered/served query's neighborhood edge exceeds the
-    /// sharded plane's `l_max`: the halo cannot cover it, so the answer
-    /// would silently lose density at cut lines. The plane refuses to
-    /// serve it instead.
-    QueryEdgeExceedsLMax {
-        /// The query's edge length.
-        l: f64,
-        /// The `l_max` the plane was built for.
-        l_max: f64,
-    },
     /// A log-shipping replica was requested for a spec that is not
     /// `Sharded` — only a sharded plane has the per-shard WAL segments
     /// replication consumes.
@@ -975,11 +965,6 @@ impl std::fmt::Display for EngineSpecError {
                     "l_max must be a positive finite edge length, got {l_max}"
                 )
             }
-            EngineSpecError::QueryEdgeExceedsLMax { l, l_max } => write!(
-                f,
-                "query edge l = {l} exceeds the sharded plane's l_max = {l_max}: \
-                 the halo cannot cover it and density would be lost at cut lines"
-            ),
             EngineSpecError::ReplicaNeedsSharding => write!(
                 f,
                 "a log-shipping replica needs a sharded spec (the per-shard \
@@ -1074,20 +1059,6 @@ impl EngineSpec {
             _ => {}
         }
         spec
-    }
-
-    /// Checks that a query/subscription neighborhood edge is servable
-    /// by the engine this spec builds. Unsharded engines serve any
-    /// finite edge; a sharded plane rejects `l > l_max` (its halo could
-    /// not cover the neighborhood and density would silently be lost at
-    /// cut lines — the PR 5 caveat, now a typed error).
-    pub fn validate_query_edge(&self, l: f64) -> Result<(), EngineSpecError> {
-        if let EngineSpec::Sharded { l_max, .. } = self {
-            if l > *l_max {
-                return Err(EngineSpecError::QueryEdgeExceedsLMax { l, l_max: *l_max });
-            }
-        }
-        Ok(())
     }
 
     /// Builds the engine, empty, with its horizon starting at `t_start`.
@@ -1364,18 +1335,6 @@ mod tests {
                 "l_max = {bad_l_max} must be refused"
             );
         }
-        assert!(sharded.validate_query_edge(10.0).is_ok());
-        assert_eq!(
-            sharded.validate_query_edge(12.0),
-            Err(EngineSpecError::QueryEdgeExceedsLMax {
-                l: 12.0,
-                l_max: 10.0
-            })
-        );
-        // Unsharded engines serve any edge; there is no halo to outrun.
-        assert!(EngineSpec::Fr(small_fr_cfg())
-            .validate_query_edge(1e9)
-            .is_ok());
     }
 
     #[test]
@@ -1406,6 +1365,27 @@ mod tests {
         assert!(json.contains("\"subs\":1"), "{json}");
         assert!(eng.unregister_subscription(id));
         assert!(!eng.unregister_subscription(id));
+        // One fixed leaf has no cut line for a halo to cover: it takes
+        // every edge the bare engine takes, until a policy may cut it.
+        let one_leaf = |adaptive| EngineSpec::Sharded {
+            adaptive,
+            inner: Box::new(EngineSpec::Fr(small_fr_cfg())),
+            sx: 1,
+            sy: 1,
+            l_max: 10.0,
+        };
+        let mut eng = one_leaf(None).try_build(0).expect("valid spec builds");
+        eng.register_subscription(0.05, 12.0, region, QtPolicy::NowPlus(2))
+            .expect("a lone fixed leaf registers l > l_max");
+        // ...and a manual split, which would cut under that query, is refused.
+        let plane = eng.as_sharded_mut().expect("sharded plane");
+        assert_eq!(plane.rebalance_split(), Err(crate::TopologyError::Limits));
+        let adaptive = one_leaf(Some(crate::SplitPolicy::default()));
+        let mut eng = adaptive.try_build(0).expect("valid spec builds");
+        assert!(matches!(
+            eng.register_subscription(0.05, 12.0, region, QtPolicy::NowPlus(2)),
+            Err(SubError::EdgeExceedsHalo { .. })
+        ));
     }
 
     #[test]

@@ -706,8 +706,8 @@ impl<I: RangeIndex> FrEngine<I> {
         seal_checkpoint(&w.into_bytes())
     }
 
-    /// Restores the engine in place from [`checkpoint_bytes`]
-    /// (FrEngine::checkpoint_bytes) output: the histogram is swapped
+    /// Restores the engine in place from
+    /// [`checkpoint_bytes`](FrEngine::checkpoint_bytes) output: the histogram is swapped
     /// in, the refinement index is reset onto a *fresh* simulated
     /// device (discarding any fault plan along with the failed one) and
     /// re-loaded from the checkpointed motion table, and the

@@ -28,7 +28,11 @@
 //!     own checkpoint and replays its own WAL segment; a shard that
 //!     stays broken is stickily degraded and serves its sub-domain with
 //!     the inner engine's filter-only answer while every other shard
-//!     keeps serving exactly.
+//!     keeps serving exactly. Every ingest step appends the shard's
+//!     record before it applies, and a panic mid-apply flags only that
+//!     shard, which [`ShardedEngine::recover`] restores the same way.
+//!     This is the only durability path: the serve loop keeps the
+//!     policy (retry, recover or degrade) and calls into it.
 //!
 //! # Exactness invariant
 //!
@@ -47,7 +51,7 @@
 
 use crate::engine::{DensityEngine, EngineAnswer, EngineStats};
 use crate::exec::Executor;
-use crate::obs::ObsReport;
+use crate::obs::{Histogram, HistogramSnapshot, ObsReport};
 use crate::sub::{AnswerDelta, QtPolicy, SubError, SubId, Subscription, SubscriptionTable};
 use crate::wal::{
     open_checkpoint, replay, seal_checkpoint, segment_name, RecoverError, SegmentHeader, Wal,
@@ -592,6 +596,43 @@ struct ShardState {
     wal: Wal,
     checkpoint: Option<Vec<u8>>,
     checkpoint_offset: usize,
+    /// Set when an ingest step panicked mid-apply: the engine may hold
+    /// broken invariants until [`ShardedEngine::recover`] restores it.
+    crashed: bool,
+    /// Recoveries of this shard (checkpoint restore + tail replay).
+    recoveries: u64,
+    /// Fault counters of the devices recovery replaced — a restore
+    /// swaps the device, and its counters with it.
+    banked_faults: FaultStats,
+}
+
+impl ShardState {
+    /// A shard over `engine` with a fresh segment for leaf `id` of an
+    /// `n`-leaf plane (codec2 records; replay detects the codec per
+    /// record), its checkpoint mark at the segment's start.
+    fn new(engine: Box<dyn DensityEngine>, id: u32, n: usize, checkpoint: Option<Vec<u8>>) -> Self {
+        let header = SegmentHeader {
+            shard: id,
+            shards: n as u32,
+        };
+        let wal = Wal::new_segment_with(header, WalCodec::V2);
+        ShardState {
+            engine,
+            checkpoint_offset: wal.offset(),
+            wal,
+            checkpoint,
+            crashed: false,
+            recoveries: 0,
+            banked_faults: FaultStats::default(),
+        }
+    }
+
+    /// Fault counters of every device this shard has run on.
+    fn fault_stats(&self) -> FaultStats {
+        let mut total = self.banked_faults;
+        total += self.engine.fault_stats();
+        total
+    }
 }
 
 /// The plane's shared state — everything the per-shard fan-out tasks
@@ -604,6 +645,9 @@ struct ShardPlane {
     part: Partition,
     shards: Vec<RwLock<ShardState>>,
     degraded: Vec<AtomicBool>,
+    /// Time of every shard recovery (its count is the recovery count);
+    /// shared across topology changes so the total never goes back.
+    recovery: Arc<Histogram>,
 }
 
 impl ShardPlane {
@@ -617,25 +661,28 @@ impl ShardPlane {
 
     /// Shard-local crash recovery: restore the shard's checkpoint and
     /// replay its WAL segment tail. The rest of the plane is untouched.
+    /// The replaced device's fault counters are banked first, and every
+    /// success is counted and timed.
     fn recover_shard(&self, i: usize) -> Result<(), ()> {
-        let mut s = self.write_shard(i);
-        let ShardState {
-            engine,
-            wal,
-            checkpoint,
-            checkpoint_offset,
-        } = &mut *s;
-        let Some(cp) = checkpoint.as_deref() else {
+        let started = Instant::now();
+        let mut guard = self.write_shard(i);
+        let s = &mut *guard;
+        let Some(cp) = s.checkpoint.as_deref() else {
             return Err(());
         };
-        engine.restore_from(cp).map_err(|_| ())?;
-        let tail = replay(&wal.bytes()[*checkpoint_offset..]).map_err(|_| ())?;
+        let faults = s.engine.fault_stats();
+        s.engine.restore_from(cp).map_err(|_| ())?;
+        s.banked_faults += faults;
+        let tail = replay(&s.wal.bytes()[s.checkpoint_offset..]).map_err(|_| ())?;
         for rec in tail.records {
             match rec {
-                WalRecord::Advance(t) => engine.advance_to(t),
-                WalRecord::Batch(batch) => engine.apply_batch(&batch),
+                WalRecord::Advance(t) => s.engine.advance_to(t),
+                WalRecord::Batch(batch) => s.engine.apply_batch(&batch),
             }
         }
+        s.crashed = false;
+        s.recoveries += 1;
+        self.recovery.record(started.elapsed());
         Ok(())
     }
 
@@ -795,22 +842,7 @@ impl ShardedEngine {
         );
         let n = part.shards();
         let shards = (0..n)
-            .map(|i| {
-                let header = SegmentHeader {
-                    shard: part.leaves()[i].id,
-                    shards: n as u32,
-                };
-                // Per-shard segments write the columnar codec2 records;
-                // replay auto-detects the codec per record.
-                let wal = Wal::new_segment_with(header, WalCodec::V2);
-                let checkpoint_offset = wal.offset();
-                RwLock::new(ShardState {
-                    engine: builder(i),
-                    wal,
-                    checkpoint: None,
-                    checkpoint_offset,
-                })
-            })
+            .map(|i| RwLock::new(ShardState::new(builder(i), part.leaves()[i].id, n, None)))
             .collect();
         ShardedEngine {
             name,
@@ -822,6 +854,7 @@ impl ShardedEngine {
                 part,
                 shards,
                 degraded: (0..n).map(|_| AtomicBool::new(false)).collect(),
+                recovery: Arc::default(),
             }),
             subs: SubscriptionTable::new(),
             sub_owners: HashMap::new(),
@@ -888,12 +921,19 @@ impl ShardedEngine {
         self.l_max
     }
 
+    /// `true` when the halo covers edge `l`, the one place that rule
+    /// lives. A single leaf without a split policy has no cut line for
+    /// the halo to cover, so it serves every edge the inner engine does.
+    fn covers_edge(&self, l: f64) -> bool {
+        l <= self.l_max || (self.plane.part.shards() == 1 && self.policy.is_none())
+    }
+
     fn assert_edge_covered(&self, l: f64) {
         assert!(
-            l <= self.l_max,
+            self.covers_edge(l),
             "query edge l = {l} exceeds the sharded plane's l_max = {}: \
              the halo cannot cover it and density would be lost at cut lines \
-             (use EngineSpec::validate_query_edge to pre-check)",
+             (use DensityEngine::check_query_edge to pre-check)",
             self.l_max
         );
     }
@@ -924,7 +964,8 @@ impl ShardedEngine {
 
     /// Re-checkpoints every shard and marks its WAL segment position,
     /// bounding shard-local replay work. Called automatically after
-    /// [`bulk_load`](DensityEngine::bulk_load).
+    /// [`bulk_load`](DensityEngine::bulk_load) and topology changes; a
+    /// serving loop calls it on its own checkpoint cadence.
     pub fn refresh_checkpoints(&mut self) {
         for i in 0..self.plane.shards.len() {
             let mut s = self.plane.write_shard(i);
@@ -932,6 +973,49 @@ impl ShardedEngine {
                 s.checkpoint = Some(cp);
                 s.checkpoint_offset = s.wal.offset();
             }
+        }
+    }
+
+    /// Crash recovery after an ingest panic: every shard whose last
+    /// ingest step crashed is restored from its stored checkpoint and
+    /// replays its segment tail — which holds the crashed step's record,
+    /// since each shard appends before it applies — so every shard ends
+    /// in the state a clean apply would have reached. `false` when a
+    /// crashed shard has no checkpoint or its checkpoint fails to
+    /// verify.
+    pub fn recover(&mut self) -> bool {
+        (0..self.plane.shards.len())
+            .filter(|&i| self.plane.read_shard(i).crashed)
+            .all(|i| self.plane.recover_shard(i).is_ok())
+    }
+
+    /// Shard recoveries so far — after ingest crashes and after query
+    /// corruption alike — with their restore + replay times (the
+    /// snapshot's `count` is the recovery count).
+    pub fn recovery_us(&self) -> HistogramSnapshot {
+        self.plane.recovery.snapshot()
+    }
+
+    /// Runs one ingest step on every shard under its write lock. The
+    /// step appends the shard's WAL record before it applies; a panic
+    /// inside it (an injected storage fault surfaces that way on the
+    /// infallible ingest path) is caught per shard, so every other
+    /// shard still logs and applies its record. The crashed shard is
+    /// flagged for [`recover`](Self::recover) and the first panic is
+    /// re-raised with its original payload once every shard has run.
+    fn ingest<F>(&self, step: F)
+    where
+        F: Fn(usize, &mut ShardState) + Send + Sync + 'static,
+    {
+        let plane = Arc::clone(&self.plane);
+        let panics = self.fan_out(move |i| {
+            let mut s = plane.write_shard(i);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(i, &mut s)));
+            s.crashed |= r.is_err();
+            r.err()
+        });
+        if let Some(payload) = panics.into_iter().flatten().next() {
+            std::panic::resume_unwind(payload);
         }
     }
 
@@ -1230,7 +1314,8 @@ impl ShardedEngine {
     /// Installs (or clears) the automatic split/merge policy. With a
     /// policy set, `advance_to` evaluates it once per tick on the
     /// owned-load counters; without one the topology never changes on
-    /// its own (manual [`rebalance`](Self::rebalance) still works).
+    /// its own (manual [`rebalance_split`](Self::rebalance_split) and
+    /// [`rebalance_merge`](Self::rebalance_merge) still work).
     pub fn set_policy(&mut self, policy: Option<SplitPolicy>) {
         self.policy = policy;
     }
@@ -1258,6 +1343,7 @@ impl ShardedEngine {
             part: Partition::from_grid(&ShardMap::new(Rect::new(0.0, 0.0, 1.0, 1.0), 1, 1, 0.0)),
             shards: Vec::new(),
             degraded: Vec::new(),
+            recovery: Arc::default(),
         });
         match Arc::try_unwrap(std::mem::replace(&mut self.plane, placeholder)) {
             Ok(plane) => plane,
@@ -1325,8 +1411,12 @@ impl ShardedEngine {
         if idx >= self.plane.part.shards() {
             return Err(TopologyError::NoCandidate);
         }
+        // A standing query wider than the halo was only admitted
+        // because a lone leaf has no cut line; the first cut would
+        // lose its density at the boundary.
         if self.plane.part.leaves()[idx].depth() >= limits.max_depth
             || self.plane.part.shards() + 3 > limits.max_shards
+            || self.subs.subs().any(|sub| sub.l > self.l_max)
         {
             return Err(TopologyError::Limits);
         }
@@ -1423,6 +1513,7 @@ impl ShardedEngine {
             mut part,
             shards,
             degraded,
+            recovery,
         } = self.take_plane();
         let child_ids = part.split(idx);
         let n = part.shards();
@@ -1441,19 +1532,8 @@ impl ShardedEngine {
                 // Retire the source; seat the four children in place.
                 drop(state);
                 for (k, e) in children.drain(..).enumerate() {
-                    let header = SegmentHeader {
-                        shard: child_ids[k],
-                        shards: n as u32,
-                    };
-                    let wal = Wal::new_segment_with(header, WalCodec::V2);
-                    let checkpoint_offset = wal.offset();
                     let checkpoint = e.checkpoint();
-                    new_shards.push(RwLock::new(ShardState {
-                        engine: e,
-                        wal,
-                        checkpoint,
-                        checkpoint_offset,
-                    }));
+                    new_shards.push(RwLock::new(ShardState::new(e, child_ids[k], n, checkpoint)));
                     new_degraded.push(AtomicBool::new(source_degraded));
                 }
             } else {
@@ -1465,6 +1545,7 @@ impl ShardedEngine {
             part,
             shards: new_shards,
             degraded: new_degraded,
+            recovery,
         });
         self.finish_topology_change();
         self.splits += 1;
@@ -1548,6 +1629,7 @@ impl ShardedEngine {
             mut part,
             shards,
             degraded,
+            recovery,
         } = self.take_plane();
         let parent_id = part.merge(group);
         let n = part.shards();
@@ -1559,19 +1641,10 @@ impl ShardedEngine {
                 drop(state);
                 if slot == group[0] {
                     let engine = parent.take().expect("parent seated once");
-                    let header = SegmentHeader {
-                        shard: parent_id,
-                        shards: n as u32,
-                    };
-                    let wal = Wal::new_segment_with(header, WalCodec::V2);
-                    let checkpoint_offset = wal.offset();
                     let checkpoint = engine.checkpoint();
-                    new_shards.push(RwLock::new(ShardState {
-                        engine,
-                        wal,
-                        checkpoint,
-                        checkpoint_offset,
-                    }));
+                    new_shards.push(RwLock::new(ShardState::new(
+                        engine, parent_id, n, checkpoint,
+                    )));
                     // The parent is rebuilt from the router table, not
                     // the children — a degraded child's lost state is
                     // re-derived, so the merged shard starts healthy.
@@ -1587,6 +1660,7 @@ impl ShardedEngine {
             part,
             shards: new_shards,
             degraded: new_degraded,
+            recovery,
         });
         self.finish_topology_change();
         self.merges += 1;
@@ -1836,15 +1910,12 @@ impl DensityEngine for ShardedEngine {
         // Per-shard batches apply concurrently (one task per shard):
         // each task takes only its own shard's write lock, so ingest
         // parallelism is shared-nothing like everything else here.
-        let plane = Arc::clone(&self.plane);
         let per_shard = Arc::new(per_shard);
-        self.fan_out(move |i| {
-            if per_shard[i].is_empty() {
-                return;
+        self.ingest(move |i, s| {
+            if !per_shard[i].is_empty() {
+                s.wal.append_batch(&per_shard[i]);
+                s.engine.apply_batch(&per_shard[i]);
             }
-            let mut s = plane.write_shard(i);
-            s.wal.append_batch(&per_shard[i]);
-            s.engine.apply_batch(&per_shard[i]);
         });
     }
 
@@ -1854,9 +1925,7 @@ impl DensityEngine for ShardedEngine {
             return;
         }
         self.t_base = t_now;
-        let plane = Arc::clone(&self.plane);
-        self.fan_out(move |i| {
-            let mut s = plane.write_shard(i);
+        self.ingest(move |_, s| {
             s.wal.append_advance(t_now);
             s.engine.advance_to(t_now);
         });
@@ -1944,24 +2013,19 @@ impl DensityEngine for ShardedEngine {
         if reshape {
             let shards = (0..n)
                 .map(|i| {
-                    let header = SegmentHeader {
-                        shard: part.leaves()[i].id,
-                        shards: n as u32,
-                    };
-                    let wal = Wal::new_segment_with(header, WalCodec::V2);
-                    let checkpoint_offset = wal.offset();
-                    RwLock::new(ShardState {
-                        engine: (self.builder)(i),
-                        wal,
-                        checkpoint: None,
-                        checkpoint_offset,
-                    })
+                    RwLock::new(ShardState::new(
+                        (self.builder)(i),
+                        part.leaves()[i].id,
+                        n,
+                        None,
+                    ))
                 })
                 .collect();
             self.plane = Arc::new(ShardPlane {
                 part,
                 shards,
                 degraded: (0..n).map(|_| AtomicBool::new(false)).collect(),
+                recovery: Arc::clone(&self.plane.recovery),
             });
         } else {
             // Same leaf set; still adopt the epoch/next_id bookkeeping.
@@ -1985,7 +2049,10 @@ impl DensityEngine for ShardedEngine {
             }
             pos += header + len;
             let mut s = self.plane.write_shard(i);
+            let faults = s.engine.fault_stats();
             s.engine.restore_from(slice)?;
+            s.banked_faults += faults;
+            s.crashed = false;
             s.checkpoint = Some(slice.to_vec());
             s.wal = Wal::new_segment_with(
                 SegmentHeader {
@@ -2022,7 +2089,7 @@ impl DensityEngine for ShardedEngine {
     fn fault_stats(&self) -> FaultStats {
         let mut total = FaultStats::default();
         for i in 0..self.plane.shards.len() {
-            total += self.plane.read_shard(i).engine.fault_stats();
+            total += self.plane.read_shard(i).fault_stats();
         }
         total
     }
@@ -2070,7 +2137,7 @@ impl DensityEngine for ShardedEngine {
         // error instead of answering wrong. Every shard runs the same
         // inner spec on the same clock, so shard 0 speaks for the
         // filter's minimum and the horizon window.
-        if l > self.l_max {
+        if !self.covers_edge(l) {
             return Err(SubError::EdgeExceedsHalo {
                 l,
                 l_max: self.l_max,
@@ -2265,7 +2332,7 @@ impl DensityEngine for ShardedEngine {
                      \"degraded\":{},\"wal_records\":{},\"wal_bytes\":{},\
                      \"wal_codec\":\"{}\",\"wal_allocs\":{},\
                      \"objects\":{},\"updates_applied\":{},\"queries_served\":{},\
-                     \"subs\":{},\"faults\":{},\"obs\":{}}}",
+                     \"subs\":{},\"faults\":{},\"recoveries\":{},\"obs\":{}}}",
                     segment_name(i as u32),
                     crate::obs::json_f64(tile.x_lo),
                     crate::obs::json_f64(tile.y_lo),
@@ -2280,7 +2347,8 @@ impl DensityEngine for ShardedEngine {
                     st.updates_applied,
                     st.queries_served,
                     s.engine.subscriptions().map_or(0, |t| t.len()),
-                    s.engine.fault_stats().injected(),
+                    s.fault_stats().injected(),
+                    s.recoveries,
                     s.engine.obs().to_json(),
                 )
             })

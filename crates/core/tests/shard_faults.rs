@@ -11,7 +11,7 @@
 
 use pdr_core::{DensityEngine, EngineSpec, FaultPlan, FrConfig, PdrQuery, ShardMap, ShardedEngine};
 use pdr_geometry::{Point, Rect};
-use pdr_mobject::{MotionState, ObjectId, TimeHorizon};
+use pdr_mobject::{MotionState, ObjectId, TimeHorizon, Update};
 
 const EXTENT: f64 = 100.0;
 const L: f64 = 10.0;
@@ -150,5 +150,80 @@ fn transient_fault_propagates_without_degrading() {
     assert!(retried.exact, "retry must restore exact serving");
     for i in 0..4 {
         assert!(!plane.shard_degraded(i), "shard {i} wrongly degraded");
+    }
+}
+
+/// One tick of re-reports for every fourth object from `first` on:
+/// retract its bulk-loaded motion and insert a turned one, so every
+/// shard's batch is non-empty.
+fn reports(pop: &[(ObjectId, MotionState)], first: usize, t: u64) -> Vec<Update> {
+    let mut batch = Vec::new();
+    for (id, m) in pop.iter().skip(first).step_by(4) {
+        let v = Point::new(-m.velocity.y, m.velocity.x);
+        batch.push(Update::delete(*id, t, *m));
+        batch.push(Update::insert(
+            *id,
+            t,
+            MotionState::new(m.position_at(t), v, t),
+        ));
+    }
+    batch
+}
+
+/// A multi-shard plane whose ingest crashes mid-batch recovers exactly.
+/// With `threads: 1` the shard fan-out is a plain loop, so a panic on
+/// shard 0 used to leave shards 1..3 without their segment record; now
+/// every shard logs and applies its record, the crashed shard restores
+/// its checkpoint and replays its segment tail, and the plane ends rect
+/// for rect where a twin that never faulted does.
+#[test]
+fn ingest_crash_on_one_shard_recovers_exactly() {
+    let pop = population(2000);
+    let mut crashed = plane();
+    let mut twin = plane();
+    for p in [&mut crashed, &mut twin] {
+        p.bulk_load(&pop, 0);
+        p.advance_to(1);
+    }
+    let batch = reports(&pop, 0, 1);
+    twin.apply_batch(&batch);
+
+    // Every physical read beneath shard 0 fails from now on: its part
+    // of the batch panics inside the infallible ingest path.
+    crashed.set_fault_plan(FaultPlan::new(9).with_permanent_read_fault(1));
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        crashed.apply_batch(&batch);
+    }));
+    assert!(
+        panic.is_err(),
+        "the armed fault must crash shard 0's ingest"
+    );
+    assert!(crashed.recover(), "shard 0 recovers from checkpoint + tail");
+
+    assert!(crashed.recovery_us().count >= 1, "the recovery is counted");
+    assert!(
+        crashed.fault_stats().read_faults >= 1,
+        "the replaced device's counters are banked"
+    );
+    let json = crashed.shard_metrics_json().unwrap();
+    assert!(json.contains("\"recoveries\":1"), "{json}");
+
+    // Both planes keep ingesting; the crashed one must stay in step.
+    for p in [&mut crashed, &mut twin] {
+        p.advance_to(2);
+        p.apply_batch(&reports(&pop, 2, 2));
+    }
+    for t in 2..=4 {
+        for rho in [0.03, 0.05, 0.08] {
+            let q = PdrQuery::new(rho, L, t);
+            let a = crashed.try_query(&q).expect("recovered plane answers");
+            let b = twin.try_query(&q).expect("twin answers");
+            assert!(a.exact, "a recovered shard serves exactly");
+            assert_eq!(a.regions.rects(), b.regions.rects(), "rho {rho} t {t}");
+        }
+    }
+    assert_eq!(crashed.stats(), twin.stats());
+    for i in 0..4 {
+        assert!(!crashed.shard_degraded(i), "shard {i} must not degrade");
     }
 }

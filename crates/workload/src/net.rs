@@ -4,10 +4,11 @@
 //! concurrent clients exercise the engines the way a deployment would:
 //! many connections issuing pointwise-dense region queries against one
 //! shared engine plane while the update stream keeps ticking. Every
-//! query runs through [`DensityEngine::try_query`]'s shared-read
-//! contract, so client concurrency composes with the intra-query
+//! query runs through
+//! [`DensityEngine::try_query`](pdr_core::DensityEngine::try_query)'s
+//! shared-read contract, so client concurrency composes with the intra-query
 //! parallelism running on the process-wide
-//! [`Executor`](pdr_core::Executor).
+//! [`Executor`].
 //!
 //! ## Wire protocol
 //!
@@ -27,8 +28,8 @@
 //! | `poll_deltas` | —                                            | `deltas` array, `lost`                    |
 //! | `tick`        | —                                            | `updates`, `t_now`, `deltas`              |
 //! | `ship_log`    | `epoch`, `offsets`[, `repl_epoch`, `engine`] | `epoch`, `repl_epoch`, `part_epoch`, `t_base`, `checkpoint` (base64 or null), `segments` |
-//! | `sync`        | [`engine`]                                   | `bootstrapped`, `records`, `updates`, `lag`, `applied_t`, `attempts` |
-//! | `promote`     | [`engine`]                                   | `promoted`, `repl_epoch`, `applied_t`     |
+//! | `sync`        | \[`engine`\]                                 | `bootstrapped`, `records`, `updates`, `lag`, `applied_t`, `attempts` |
+//! | `promote`     | \[`engine`\]                                 | `promoted`, `repl_epoch`, `applied_t`     |
 //! | `rebalance`   | [`action` (`"split"`/`"merge"`), `engine`]   | `action`, `retired`, `created`, `records_replayed`, `leaves`, `part_epoch` |
 //! | `metrics`     | —                                            | `metrics` object (counters, clients, exec[, replica])|
 //! | `shutdown`    | —                                            | `draining: true`; server drains and exits |
@@ -44,8 +45,8 @@
 //! would go stale in flight. The response's `t` reports the resolved
 //! absolute timestamp. A `query`/`check` with a negative or non-finite
 //! `rho`, a non-positive or non-finite `l`, an `l` the engine refuses
-//! (below twice its filter's cell edge, or beyond a sharded plane's
-//! `l_max`), a `q_t` that overflows the clock, or a resolved `q_t`
+//! (below twice its filter's cell edge, or beyond the `l_max` of a
+//! plane with cut lines), a `q_t` that overflows the clock, or a resolved `q_t`
 //! outside the engine's horizon window `[now, now + H]` is answered
 //! `{"ok":false,"error":"bad_query","detail":…}` before the engine runs
 //! and counted neither served nor failed. A `subscribe` whose
@@ -73,10 +74,11 @@
 //! ## Replication
 //!
 //! A front-end started as a replica ([`NetServerConfig::replica_of`])
-//! serves a read-only [`Replica`] engine instead of a primary plane:
-//! `tick` is refused, `query`/`subscribe` answer from the replicated
-//! state, and `q_t` resolves against the replica's *applied* protocol
-//! time (the last `advance_to` it replayed), not a local clock. A
+//! serves a read-only [`Replica`](pdr_core::Replica) engine instead of
+//! a primary plane: `tick` is refused, `query`/`subscribe` answer from
+//! the replicated state, and `q_t` resolves against the replica's
+//! *applied* protocol time (the last `advance_to` it replayed), not a
+//! local clock. A
 //! `sync` op makes the replica pull one [`LogShipment`] from its
 //! primary's `ship_log` op — sealed checkpoints and per-shard WAL
 //! segment deltas ride the JSON frames base64-encoded — and ingest it;
@@ -137,8 +139,8 @@
 use crate::netfault::{FrameFault, NetFaultInjector};
 use crate::serve::{FaultPolicy, ServeDriver};
 use pdr_core::{
-    AnswerDelta, DensityEngine, Executor, LogShipment, PdrQuery, QtPolicy, RecoverError,
-    ShippedSegment, SubError, SubId,
+    AnswerDelta, Executor, LogShipment, PdrQuery, QtPolicy, RecoverError, ShippedSegment, SubError,
+    SubId,
 };
 use pdr_geometry::Rect;
 use std::collections::HashMap;
@@ -525,7 +527,7 @@ const READ_POLL: Duration = Duration::from_millis(50);
 /// clean EOF (or an observed shutdown flag) at a frame boundary, a
 /// `TimedOut` error when the peer idles past `idle` without starting a
 /// frame or stalls longer than `frame` between bytes mid-frame. The
-/// stream must have a read timeout of [`READ_POLL`] installed — that
+/// stream must have a read timeout of `READ_POLL` (50 ms) installed — that
 /// is what turns blocking reads into poll steps.
 pub fn read_frame_deadline(
     stream: &mut TcpStream,
@@ -1352,10 +1354,10 @@ fn serve_subscribe(
             None => return err_json("no engines registered"),
         },
     };
-    let Some(engine) = d.engine(&label) else {
+    if d.engine(&label).is_none() {
         return err_json("no such engine");
-    };
-    if let Err(resp) = resolve_q_t(&d, Some(engine), l, q_t) {
+    }
+    if let Err(resp) = resolve_q_t(&d, &label, l, q_t) {
         return resp;
     }
     match d.subscribe_on(&label, rho, l, region, QtPolicy::NowPlus(q_t)) {
@@ -1702,15 +1704,13 @@ fn serve_query(
     let start = Instant::now();
     let (outcome, t_abs, latency) = {
         let d = driver.read().unwrap_or_else(|p| p.into_inner());
-        let engine = match req.get("engine").and_then(Json::as_str) {
-            Some(label) => d.engine(label),
-            None => d.labels().first().and_then(|l| d.engine(l)),
-        };
+        let label = resolve_label(req, &d).unwrap_or_default();
+        let engine = d.engine(&label);
         // Resolved under the same read lock the query runs under — a
         // concurrent tick cannot strand it mid-request. Refused here,
         // where the clock is read: the slot is released and the query
         // counted neither served nor failed.
-        let t_abs = match resolve_q_t(&d, engine, l, q_t) {
+        let t_abs = match resolve_q_t(&d, &label, l, q_t) {
             Ok(t) => t,
             Err(resp) => {
                 shared.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -1821,26 +1821,17 @@ fn serve_query(
 }
 
 /// Resolves a wire `q_t` offset to an absolute timestamp against the
-/// serving clock of `engine`, refusing what the engine cannot evaluate
-/// (`Err` is the `bad_query` response). On a primary the clock is the
-/// simulator's; on a replica it is the applied protocol time of the
-/// replicated stream (the local simulator never ticks), so at equal
-/// applied offsets the same `q_t` hits the same absolute timestamp on
-/// both.
-fn resolve_q_t(
-    d: &ServeDriver,
-    engine: Option<&dyn DensityEngine>,
-    l: f64,
-    q_t: u64,
-) -> Result<u64, String> {
-    let clock = match engine.and_then(|e| e.as_replica()) {
-        Some(rep) => rep.applied_t(),
-        None => d.simulator().t_now(),
-    };
-    let t_abs = clock
+/// [`ServeDriver::serving_clock`] of the engine under `label`, refusing
+/// what the engine cannot evaluate (`Err` is the `bad_query` response).
+/// On a replica the clock is the applied protocol time of the
+/// replicated stream, so at equal applied offsets the same `q_t` hits
+/// the same absolute timestamp on primary and replica.
+fn resolve_q_t(d: &ServeDriver, label: &str, l: f64, q_t: u64) -> Result<u64, String> {
+    let t_abs = d
+        .serving_clock(label)
         .checked_add(q_t)
         .ok_or_else(|| bad_query("q_t overflows the serving clock"))?;
-    if let Some(Err(e)) = engine.map(|e| e.check_query_edge(l, Some(t_abs))) {
+    if let Some(Err(e)) = d.engine(label).map(|e| e.check_query_edge(l, Some(t_abs))) {
         return Err(bad_query(&e.to_string()));
     }
     Ok(t_abs)
@@ -2471,6 +2462,103 @@ mod tests {
                 summary.contains("\"leaked_workers\":0"),
                 "{name}: {summary}"
             );
+        }
+    }
+
+    /// A replica's local simulator never ticks, so a wire `subscribe`
+    /// must resolve at the replica's applied clock — the one its
+    /// `query` answers at. Synced past the horizon (12 primary ticks,
+    /// H = 8), the simulator clock would put `q_t` outside every
+    /// shard's histogram window.
+    #[test]
+    fn replica_subscribe_past_the_horizon_answers_at_the_applied_clock() {
+        use pdr_core::SubscriptionTable;
+        use pdr_geometry::RegionSet;
+
+        let mut primary_driver = ServeDriver::new(sim(300), pdr_storage::CostModel::PAPER_DEFAULT)
+            .with_engine("fr", sharded_spec().build(0));
+        primary_driver.bootstrap();
+        let primary = NetServer::bind(
+            "127.0.0.1:0",
+            primary_driver,
+            FaultPolicy::default(),
+            NetServerConfig::default(),
+        )
+        .unwrap();
+        let primary_addr = primary.local_addr().unwrap().to_string();
+        let primary = std::thread::spawn(move || primary.serve());
+        let replica_driver = ServeDriver::new(sim(300), pdr_storage::CostModel::PAPER_DEFAULT)
+            .with_engine("fr", sharded_spec().try_build_replica(0).unwrap());
+        let replica = NetServer::bind(
+            "127.0.0.1:0",
+            replica_driver,
+            FaultPolicy::default(),
+            NetServerConfig {
+                replica_of: Some(primary_addr.clone()),
+                ..NetServerConfig::default()
+            },
+        )
+        .unwrap();
+        let replica_addr = replica.local_addr().unwrap().to_string();
+        let replica = std::thread::spawn(move || replica.serve());
+        let mut p = NetClient::connect(&primary_addr).unwrap();
+        let mut r = NetClient::connect(&replica_addr).unwrap();
+
+        for _ in 0..12 {
+            let resp = p.request("{\"op\":\"tick\"}").unwrap();
+            assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
+        }
+        let resp = r.request("{\"op\":\"sync\"}").unwrap();
+        assert_eq!(resp.get("applied_t").and_then(Json::as_u64), Some(12));
+
+        let resp = r
+            .request("{\"op\":\"subscribe\",\"rho\":0.02,\"l\":20.0,\"q_t\":1}")
+            .unwrap();
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{resp:?}"
+        );
+        let sub = resp.get("sub").and_then(Json::as_u64).unwrap();
+        let mut mirrors: HashMap<u64, Vec<Rect>> = HashMap::new();
+        mirrors.insert(sub, Vec::new());
+        let resp = r.request("{\"op\":\"poll_deltas\"}").unwrap();
+        assert_eq!(apply_wire_deltas(&resp, &mut mirrors), 1, "{resp:?}");
+
+        // The connection is still usable, and the replayed snapshot is
+        // the replica's own answer at the same absolute time.
+        let resp = r
+            .request("{\"op\":\"query\",\"rho\":0.02,\"l\":20.0,\"q_t\":1,\"rects\":true}")
+            .unwrap();
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{resp:?}"
+        );
+        assert_eq!(resp.get("t").and_then(Json::as_u64), Some(13));
+        let Json::Arr(items) = resp.get("rects").expect("rects present") else {
+            panic!("rects must be an array: {resp:?}");
+        };
+        let rects: Vec<Rect> = items
+            .iter()
+            .map(|it| {
+                let Json::Arr(co) = it else { panic!() };
+                let co: Vec<f64> = co.iter().filter_map(Json::as_f64).collect();
+                Rect::new(co[0], co[1], co[2], co[3])
+            })
+            .collect();
+        assert!(!rects.is_empty(), "the probe should have a dense answer");
+        let bounds = Rect::new(0.0, 0.0, 200.0, 200.0);
+        let reference = SubscriptionTable::clip(&RegionSet::from_rects(rects), bounds);
+        assert_eq!(mirrors[&sub].as_slice(), reference.rects());
+
+        for c in [&mut r, &mut p] {
+            let resp = c.request("{\"op\":\"shutdown\"}").unwrap();
+            assert_eq!(resp.get("draining").and_then(Json::as_bool), Some(true));
+        }
+        for h in [replica, primary] {
+            let summary = h.join().unwrap();
+            assert!(summary.contains("\"leaked_workers\":0"), "{summary}");
         }
     }
 

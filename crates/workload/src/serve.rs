@@ -19,14 +19,28 @@
 //! every engine through `&self` — the engines' shared-read contract.
 //! Optionally each answer is scored against the brute-force ground
 //! truth computed from the simulator's own object table.
+//!
+//! # Faults and durability
+//!
+//! The driver owns the fault *policy*; the sharded plane
+//! ([`ShardedEngine`]) owns the durability *mechanism* — per-leaf WAL
+//! segments, stored per-shard checkpoints and shard-local recovery.
+//! Transient query faults are retried with seeded backoff; detected
+//! corruption is repaired inside the plane (its shard restores and
+//! replays, then answers); a fault-caused ingest panic is recovered
+//! through [`ShardedEngine::recover`] once
+//! [`enable_journal`](ServeDriver::enable_journal) is on, and takes the
+//! engine offline-degraded otherwise. Engines that are not planes have
+//! no recovery at all: wrap one in a 1×1 `EngineSpec::Sharded` (proven
+//! bit-identical to the bare engine) to make it recoverable.
 
 use crate::simulator::TrafficSimulator;
 use crate::QuerySpec;
 use pdr_core::obs::{json_f64, Histogram, HistogramSnapshot, ObsReport};
 use pdr_core::{
-    accuracy, exact_dense_regions, replay, AnswerDelta, DensityEngine, EngineAnswer, EngineStats,
-    Executor, PdrQuery, QtPolicy, Scoreboard, StorageError, SubError, SubId, Subscription,
-    SubscriptionTable, Wal, WalCodec, WalRecord,
+    accuracy, exact_dense_regions, AnswerDelta, DensityEngine, EngineAnswer, EngineStats, Executor,
+    PdrQuery, QtPolicy, Scoreboard, ShardedEngine, StorageError, SubError, SubId, Subscription,
+    SubscriptionTable,
 };
 use pdr_geometry::{Rect, RegionSet};
 use pdr_mobject::Timestamp;
@@ -141,9 +155,9 @@ impl QueryMix {
 }
 
 /// How the serve loop reacts to storage faults: bounded retry with
-/// seeded jittered backoff for transient faults, checkpoint+WAL
-/// recovery for detected corruption, graceful degradation otherwise,
-/// all under an optional per-query deadline.
+/// seeded jittered backoff for transient faults, graceful degradation
+/// for faults that persist, all under an optional per-query deadline.
+/// (Detected corruption is repaired inside the sharded plane.)
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPolicy {
     /// Query attempts before giving up on transient faults (counting
@@ -228,7 +242,9 @@ pub struct EngineLoad {
     pub ingest_ms: f64,
     /// Query attempts repeated after a transient storage fault.
     pub retries: u64,
-    /// Checkpoint+WAL recoveries performed after detected corruption.
+    /// Shard recoveries (stored checkpoint + segment tail) the plane
+    /// performed after an ingest crash or detected corruption; 0 for
+    /// engines that are not planes.
     pub recoveries: u64,
     /// Queries answered by the filter-only degraded path after
     /// retries/recovery could not produce an exact answer.
@@ -241,7 +257,7 @@ pub struct EngineLoad {
     /// Injected-fault / checksum-failure counters from the engine's
     /// storage plane.
     pub faults: FaultStats,
-    /// Recovery-time distribution (restore + WAL tail replay).
+    /// Recovery-time distribution (restore + segment tail replay).
     pub recovery_us: HistogramSnapshot,
     /// Final engine stats snapshot.
     pub stats: EngineStats,
@@ -495,9 +511,6 @@ struct Served {
     engine: Box<dyn DensityEngine>,
     load: EngineLoad,
     latency: Histogram,
-    recovery: Histogram,
-    /// Latest sealed checkpoint and the WAL offset it replays from.
-    checkpoint: Option<(usize, Vec<u8>)>,
     /// Set when the engine's device failed persistently and could not
     /// be recovered: ingest stops (the device is unusable) and every
     /// query is answered by the filter-only degraded path from the
@@ -524,15 +537,6 @@ impl Served {
     }
 }
 
-/// The journal a fault-tolerant serve run keeps: protocol records are
-/// appended *before* each engine mutation, engine checkpoints are taken
-/// every `every` ticks.
-struct Journal {
-    wal: Wal,
-    every: u64,
-    ticks_since_checkpoint: u64,
-}
-
 /// Owns a [`TrafficSimulator`] and any number of boxed engines; drives
 /// ingest and queries through the [`DensityEngine`] contract only.
 pub struct ServeDriver {
@@ -543,7 +547,9 @@ pub struct ServeDriver {
     tick_ingest: Histogram,
     tick_query: Histogram,
     policy: FaultPolicy,
-    journal: Option<Journal>,
+    /// Plane checkpoint cadence in ticks; 0 = ingest-crash recovery off
+    /// (see [`enable_journal`](ServeDriver::enable_journal)).
+    checkpoint_every: u64,
     rng: u64,
     clients: Vec<ClientStats>,
     /// Deterministic generator for subscription regions (xorshift64*,
@@ -552,10 +558,10 @@ pub struct ServeDriver {
     /// Subscriptions created so far — cycles the mix specs so every
     /// engine registers the identical sequence.
     sub_seq: u64,
-    /// Deltas emitted since the last [`drain_pending_deltas`]
-    /// (ServeDriver::drain_pending_deltas) call, labelled with the
-    /// emitting engine — the feed the TCP front-end routes to
-    /// subscriber connections. Only collected once
+    /// Deltas emitted since the last
+    /// [`drain_pending_deltas`](ServeDriver::drain_pending_deltas)
+    /// call, labelled with the emitting engine — the feed the TCP
+    /// front-end routes to subscriber connections. Only collected once
     /// [`enable_delta_feed`](ServeDriver::enable_delta_feed) is on, so
     /// drain-less library runs don't accumulate unboundedly.
     pending_deltas: Vec<(String, AnswerDelta)>,
@@ -582,7 +588,7 @@ impl ServeDriver {
             tick_ingest: Histogram::new(),
             tick_query: Histogram::new(),
             policy,
-            journal: None,
+            checkpoint_every: 0,
             rng: policy.seed | 1,
             clients: Vec::new(),
             sub_rng: (policy.seed ^ 0x5B5C_9A71) | 1,
@@ -606,23 +612,16 @@ impl ServeDriver {
         self
     }
 
-    /// Turns on write-ahead journaling with an engine checkpoint every
-    /// `every` ticks. Checkpoint-capable engines become recoverable:
-    /// when a query hits detected corruption, the driver restores the
-    /// latest checkpoint, replays the WAL tail and retries. Engines
-    /// without checkpoint support keep degrading instead.
-    ///
-    /// New journals use the columnar codec2 record format; recovery
-    /// replays either codec, so logs written by older drivers remain
-    /// readable.
+    /// Turns on ingest-crash recovery, refreshing every sharded
+    /// plane's stored checkpoints once every `every` ticks (the plane's
+    /// WAL segments already log every mutation, and
+    /// [`bulk_load`](DensityEngine::bulk_load) just checkpointed it).
+    /// A fault-caused ingest panic then restores the crashed shards and
+    /// replays their segment tails instead of taking the engine
+    /// offline-degraded. Engines that are not planes stay unrecoverable.
     pub fn enable_journal(&mut self, every: u64) {
         assert!(every > 0, "checkpoint cadence must be positive");
-        self.journal = Some(Journal {
-            wal: Wal::with_codec(WalCodec::V2),
-            every,
-            ticks_since_checkpoint: 0,
-        });
-        self.checkpoint_engines();
+        self.checkpoint_every = every;
     }
 
     /// Installs a fault-injection plan beneath the storage plane of the
@@ -634,20 +633,6 @@ impl ServeDriver {
                 true
             }
             None => false,
-        }
-    }
-
-    /// Takes a fresh checkpoint of every checkpoint-capable engine,
-    /// anchored at the current WAL offset. No-op without a journal.
-    fn checkpoint_engines(&mut self) {
-        let Some(j) = self.journal.as_ref() else {
-            return;
-        };
-        let offset = j.wal.offset();
-        for s in &mut self.engines {
-            if let Some(bytes) = s.engine.checkpoint() {
-                s.checkpoint = Some((offset, bytes));
-            }
         }
     }
 
@@ -669,8 +654,6 @@ impl ServeDriver {
             engine,
             load: EngineLoad::new(label.to_string(), name),
             latency: Histogram::new(),
-            recovery: Histogram::new(),
-            checkpoint: None,
             degraded_mode: false,
             sub_mirrors: Vec::new(),
         });
@@ -701,6 +684,18 @@ impl ServeDriver {
         Some(s.engine.as_mut())
     }
 
+    /// The clock the engine under `label` serves at: a replica's
+    /// applied protocol time (its local simulator never ticks), the
+    /// simulator's clock otherwise. Wire `q_t` offsets and new
+    /// subscriptions both resolve against it, so a replica answers and
+    /// subscribes at the same absolute time as its primary.
+    pub fn serving_clock(&self, label: &str) -> Timestamp {
+        match self.engine(label).and_then(|e| e.as_replica()) {
+            Some(rep) => rep.applied_t(),
+            None => self.sim.t_now(),
+        }
+    }
+
     /// The monitored region (the simulator network's square extent).
     pub fn bounds(&self) -> Rect {
         let extent = self.sim.network().extent();
@@ -717,9 +712,6 @@ impl ServeDriver {
             s.engine.bulk_load(&pop, t);
             s.load.ingest_ms += start.elapsed().as_secs_f64() * 1e3;
         }
-        // The bulk load is not WAL-recorded (it would dwarf the log);
-        // a post-bootstrap checkpoint makes it recoverable instead.
-        self.checkpoint_engines();
     }
 
     /// Promotes the replica registered under `label` into a writable
@@ -761,26 +753,18 @@ impl ServeDriver {
     /// Returns the number of protocol updates applied.
     pub fn tick(&mut self) -> usize {
         let t_next = self.sim.t_now() + 1;
-        if let Some(j) = self.journal.as_mut() {
-            j.wal.append_advance(t_next);
-        }
-        let wal = self.journal.as_ref().map(|j| &j.wal);
+        let recover = self.checkpoint_every > 0;
         for s in &mut self.engines {
             let start = Instant::now();
-            ingest_or_recover(s, wal, |e| e.advance_to(t_next));
+            ingest_or_recover(s, recover, |e| e.advance_to(t_next));
             s.load.ingest_ms += start.elapsed().as_secs_f64() * 1e3;
         }
         let updates = self.sim.tick();
-        if let Some(j) = self.journal.as_mut() {
-            j.wal.append_batch(&updates);
-        }
-        let wal = self.journal.as_ref().map(|j| &j.wal);
         let mut emitted: Vec<(String, AnswerDelta)> = Vec::new();
         for s in &mut self.engines {
             let start = Instant::now();
-            let recoveries_before = s.load.recoveries;
             let mut deltas = Vec::new();
-            ingest_or_recover(s, wal, |e| {
+            let recovered = ingest_or_recover(s, recover, |e| {
                 deltas = e.apply_batch_with_deltas(&updates, t_next);
             });
             s.load.ingest_ms += start.elapsed().as_secs_f64() * 1e3;
@@ -789,7 +773,7 @@ impl ServeDriver {
             if !has_subs {
                 continue;
             }
-            if s.load.recoveries != recoveries_before || s.degraded_mode {
+            if recovered || s.degraded_mode {
                 // The tick's deltas were lost mid-crash (or the engine
                 // went offline). After a successful recovery the engine
                 // is consistent again but unmaintained for this tick:
@@ -833,20 +817,12 @@ impl ServeDriver {
             }
         }
         self.pending_deltas.append(&mut emitted);
-        let checkpoint_due = match self.journal.as_mut() {
-            Some(j) => {
-                j.ticks_since_checkpoint += 1;
-                if j.ticks_since_checkpoint >= j.every {
-                    j.ticks_since_checkpoint = 0;
-                    true
-                } else {
-                    false
+        if recover && t_next.is_multiple_of(self.checkpoint_every) {
+            for s in self.engines.iter_mut().filter(|s| !s.degraded_mode) {
+                if let Some(plane) = s.engine.as_sharded_mut() {
+                    plane.refresh_checkpoints();
                 }
             }
-            None => false,
-        };
-        if checkpoint_due {
-            self.checkpoint_engines();
         }
         updates.len()
     }
@@ -858,11 +834,11 @@ impl ServeDriver {
 
     /// Registers a standing subscription on the engine under `label`
     /// (region defaults to the monitored bounds) and immediately brings
-    /// it up to date: the initial answer is emitted as the
-    /// subscription's first pending delta (everything `added`), so a
-    /// consumer draining [`drain_pending_deltas`]
-    /// (ServeDriver::drain_pending_deltas) reconstructs the answer from
-    /// the delta stream alone.
+    /// it up to date at the [`serving_clock`](ServeDriver::serving_clock):
+    /// the initial answer is emitted as the subscription's first pending
+    /// delta (everything `added`), so a consumer draining
+    /// [`drain_pending_deltas`](ServeDriver::drain_pending_deltas)
+    /// reconstructs the answer from the delta stream alone.
     pub fn subscribe_on(
         &mut self,
         label: &str,
@@ -872,7 +848,7 @@ impl ServeDriver {
         policy: QtPolicy,
     ) -> Result<SubId, SubError> {
         let bounds = self.bounds();
-        let now = self.sim.t_now();
+        let now = self.serving_clock(label);
         let Some(s) = self.engines.iter_mut().find(|s| s.label == label) else {
             return Err(SubError::Unsupported);
         };
@@ -895,9 +871,9 @@ impl ServeDriver {
         Ok(id)
     }
 
-    /// Unregisters a subscription created by [`subscribe_on`]
-    /// (ServeDriver::subscribe_on) (or the subscription mix). `false`
-    /// when no such engine or subscription.
+    /// Unregisters a subscription created by
+    /// [`subscribe_on`](ServeDriver::subscribe_on) (or the subscription
+    /// mix). `false` when no such engine or subscription.
     pub fn unsubscribe_on(&mut self, label: &str, id: SubId) -> bool {
         let Some(s) = self.engines.iter_mut().find(|s| s.label == label) else {
             return false;
@@ -1047,11 +1023,10 @@ impl ServeDriver {
     pub fn query_all(&mut self, q: &PdrQuery, truth: Option<&RegionSet>) -> Vec<RegionSet> {
         let model = self.model;
         let policy = self.policy;
-        let wal = self.journal.as_ref().map(|j| &j.wal);
         let rng = &mut self.rng;
         let mut answers = Vec::with_capacity(self.engines.len());
         for s in &mut self.engines {
-            let a = serve_with_faults(s, q, &policy, wal, rng);
+            let a = serve_with_faults(s, q, &policy, rng);
             s.load
                 .score
                 .record_cost(a.cpu.as_secs_f64() * 1e3, a.total_ms(&model), a.io);
@@ -1191,8 +1166,7 @@ impl ServeDriver {
                         Ok(a) => a,
                         Err(_) => {
                             let policy = self.policy;
-                            let wal = self.journal.as_ref().map(|j| &j.wal);
-                            serve_with_faults(&mut self.engines[ei], q, &policy, wal, &mut self.rng)
+                            serve_with_faults(&mut self.engines[ei], q, &policy, &mut self.rng)
                         }
                     };
                     let s = &mut self.engines[ei];
@@ -1235,10 +1209,13 @@ impl ServeDriver {
                     let mut load = s.load.clone();
                     load.stats = s.engine.stats();
                     load.latency = s.latency.snapshot();
-                    load.recovery_us = s.recovery.snapshot();
-                    // `load.faults` already holds counters banked from
-                    // devices replaced by recovery; add the live one.
-                    load.faults += s.engine.fault_stats();
+                    // The plane banks the counters of devices its
+                    // recoveries replaced, so these are run totals.
+                    load.faults = s.engine.fault_stats();
+                    if let Some(plane) = s.engine.as_sharded() {
+                        load.recovery_us = plane.recovery_us();
+                        load.recoveries = load.recovery_us.count;
+                    }
                     load.obs = s.engine.obs();
                     load.shards = s.engine.shard_metrics_json();
                     load
@@ -1248,65 +1225,46 @@ impl ServeDriver {
     }
 }
 
-/// Restores `s` from its latest checkpoint and replays the WAL tail,
-/// banking the failed device's fault counters first (the restore
-/// replaces the device, and its counters with it). Returns `false`
-/// when the engine has no checkpoint or the checkpoint fails to
-/// verify; the recovery counter and time histogram record successes.
-fn recover_engine(s: &mut Served, wal: &Wal) -> bool {
-    let Some((offset, bytes)) = s.checkpoint.clone() else {
-        return false;
-    };
-    let rec_start = Instant::now();
-    s.load.faults += s.engine.fault_stats();
-    if s.engine.restore_from(&bytes).is_err() {
-        return false;
-    }
-    let tail = replay(&wal.bytes()[offset..]).expect("in-memory WAL cannot tear");
-    for r in &tail.records {
-        match r {
-            WalRecord::Advance(t) => s.engine.advance_to(*t),
-            WalRecord::Batch(b) => s.engine.apply_batch(b),
-        }
-    }
-    s.load.recoveries += 1;
-    s.recovery.record(rec_start.elapsed());
-    true
-}
-
 /// Runs one ingest mutation, treating an engine panic as a simulated
 /// crash. The ingest path reads through the infallible pool API, so an
-/// injected fault surfaces as a panic mid-mutation; the WAL record for
-/// the mutation was appended *before* it ran, so restoring the
-/// checkpoint and replaying the tail lands the engine exactly where a
-/// clean apply would have. Without a journal (or without a checkpoint)
-/// the panic propagates unchanged. The caught engine may hold broken
-/// invariants, but recovery discards its entire state, so none can be
-/// observed — which is what makes the `AssertUnwindSafe` sound.
+/// injected fault surfaces as a panic mid-mutation. A sharded plane has
+/// logged the mutation in every shard's segment and flagged the shards
+/// that crashed; with `recover` on, [`ShardedEngine::recover`] restores
+/// those from their checkpoints and replays the tails, landing exactly
+/// where a clean apply would have. A fault-caused panic that cannot be
+/// recovered takes the engine offline-degraded; any other panic is a
+/// genuine bug and propagates unchanged. Returns whether the engine
+/// recovered. The `AssertUnwindSafe` is sound because a crashed shard
+/// is restored before its next use or taken offline, where only the
+/// filter-only degraded answer is read from it.
 fn ingest_or_recover(
     s: &mut Served,
-    wal: Option<&Wal>,
+    recover: bool,
     apply: impl FnOnce(&mut dyn DensityEngine),
-) {
+) -> bool {
     if s.degraded_mode {
-        return;
+        return false;
     }
     let before = s.engine.fault_stats();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         apply(s.engine.as_mut());
     }));
-    if let Err(payload) = outcome {
-        if s.engine.fault_stats() == before {
-            // Not our injection: a genuine bug must stay loud.
-            std::panic::resume_unwind(payload);
-        }
-        if !wal.is_some_and(|w| recover_engine(s, w)) {
-            // Fault-caused but unrecoverable (no journal, or the
-            // checkpoint failed to verify): take the engine offline and
-            // keep serving degraded instead of dropping the tick.
-            s.degraded_mode = true;
-        }
+    let Err(payload) = outcome else {
+        return false;
+    };
+    if s.engine.fault_stats() == before {
+        // Not our injection: a genuine bug must stay loud.
+        std::panic::resume_unwind(payload);
     }
+    let recovered = recover
+        && s.engine
+            .as_sharded_mut()
+            .is_some_and(ShardedEngine::recover);
+    // Fault-caused but unrecoverable (recovery off, not a plane, or a
+    // checkpoint that failed to verify): keep serving degraded instead
+    // of dropping the tick.
+    s.degraded_mode = !recovered;
+    recovered
 }
 
 /// Answers the query by the degraded path, or fails it: a filter-only
@@ -1330,13 +1288,12 @@ fn degrade(s: &mut Served, q: &PdrQuery) -> EngineAnswer {
 }
 
 /// One query under the fault policy: retry transient faults with
-/// backoff, recover from detected corruption via checkpoint + WAL tail
-/// (once per query), degrade otherwise — all bounded by the deadline.
+/// backoff, degrade otherwise — all bounded by the deadline. (A plane
+/// repairs detected corruption itself before answering.)
 fn serve_with_faults(
     s: &mut Served,
     q: &PdrQuery,
     policy: &FaultPolicy,
-    wal: Option<&Wal>,
     rng: &mut u64,
 ) -> EngineAnswer {
     if s.degraded_mode {
@@ -1344,7 +1301,6 @@ fn serve_with_faults(
     }
     let start = Instant::now();
     let mut attempts = 1u32;
-    let mut recovered = false;
     loop {
         let err = match s.engine.try_query(q) {
             Ok(a) => return a,
@@ -1360,20 +1316,10 @@ fn serve_with_faults(
             policy.backoff(attempts, rng);
             continue;
         }
-        if err.is_corruption() && !recovered {
-            // Corruption is repairable by rewriting the data; a device
-            // refusing reads is not — those degrade below. The restored
-            // index lives on a fresh simulated device, so the fault
-            // plan (a schedule for the *failed* device) is gone.
-            if wal.is_some_and(|w| recover_engine(s, w)) {
-                recovered = true;
-                continue;
-            }
-        }
         if !err.is_transient() {
             // A device refusing service permanently (or corruption
-            // with no checkpoint to restore) won't heal between
-            // queries: go offline-degraded instead of re-probing it.
+            // the engine could not repair) won't heal between queries:
+            // go offline-degraded instead of re-probing it.
             s.degraded_mode = true;
         }
         return degrade(s, q);
@@ -1772,6 +1718,22 @@ mod tests {
     /// physical I/O. Fault plans only fire on physical reads and
     /// write-backs; a pool that fits the working set never faults.
     fn faulty_driver(n: usize) -> ServeDriver {
+        faulty_driver_of(n, |fr| fr)
+    }
+
+    /// [`faulty_driver`] with FR inside a 1×1 sharded plane — the
+    /// engine shape whose segments and checkpoints make it recoverable.
+    fn durable_driver(n: usize) -> ServeDriver {
+        faulty_driver_of(n, |fr| EngineSpec::Sharded {
+            inner: Box::new(fr),
+            sx: 1,
+            sy: 1,
+            l_max: 20.0,
+            adaptive: None,
+        })
+    }
+
+    fn faulty_driver_of(n: usize, wrap: impl FnOnce(EngineSpec) -> EngineSpec) -> ServeDriver {
         let net = RoadNetwork::generate(&NetworkConfig::metro(200.0), 29);
         let sim = TrafficSimulator::new(net, n, 31, 4, 0);
         let fr = FrConfig {
@@ -1782,7 +1744,13 @@ mod tests {
             threads: 1,
         };
         ServeDriver::new(sim, CostModel::PAPER_DEFAULT)
-            .with_engine("fr", EngineSpec::Fr(fr).build(0))
+            .with_engine("fr", wrap(EngineSpec::Fr(fr)).build(0))
+    }
+
+    /// The plane behind a [`durable_driver`]'s engine, which owns the
+    /// recovery counters.
+    fn plane(d: &ServeDriver) -> &ShardedEngine {
+        d.engines[0].engine.as_sharded().expect("a 1×1 plane")
     }
 
     #[test]
@@ -1843,7 +1811,7 @@ mod tests {
 
     #[test]
     fn torn_write_corruption_triggers_checkpoint_recovery() {
-        let mut d = faulty_driver(800);
+        let mut d = durable_driver(800);
         d.bootstrap();
         d.enable_journal(1);
         d.tick();
@@ -1862,7 +1830,7 @@ mod tests {
                 answers[0].symmetric_difference_area(&truth) < 1e-9,
                 "answers must stay exact through the recovery"
             );
-            if d.engines[0].load.recoveries > 0 {
+            if plane(&d).recovery_us().count > 0 {
                 recovered = true;
                 break;
             }
@@ -1871,18 +1839,17 @@ mod tests {
         let load = &d.engines[0].load;
         assert_eq!(load.degraded_queries, 0, "recovery must beat degradation");
         assert_eq!(load.failed_queries, 0);
-        assert!(d.engines[0].recovery.snapshot().count >= 1);
+        assert!(plane(&d).recovery_us().count >= 1);
         // The failed device's counters were banked before recovery
         // replaced it, so the report still shows what went wrong.
-        let mut faults = d.engines[0].load.faults;
-        faults += d.engines[0].engine.fault_stats();
+        let faults = d.engines[0].engine.fault_stats();
         assert!(faults.crc_failures >= 1);
         assert!(faults.torn_writes >= 1);
     }
 
     #[test]
     fn ingest_crash_under_permanent_faults_recovers_from_the_journal() {
-        let mut d = faulty_driver(800);
+        let mut d = durable_driver(800);
         d.bootstrap();
         d.enable_journal(1);
         d.tick();
@@ -1894,7 +1861,7 @@ mod tests {
         let n = d.tick();
         assert!(n > 0, "the tick itself must still make progress");
         assert!(
-            d.engines[0].load.recoveries >= 1,
+            plane(&d).recovery_us().count >= 1,
             "the crashed ingest must recover from checkpoint + WAL"
         );
         // The restored engine is on a fresh device (no fault plan):

@@ -162,6 +162,31 @@ sharded_smoke() {
         fi
     fi
     rm -f "$out"
+
+    step "sharded torn-write smoke (corruption recovered from shard segments)"
+    out="$(mktemp /tmp/pdr-sharded-torn.XXXXXX.json)"
+    if ! target/release/pdrcli serve --objects 2000 --extent 500 --ticks 10 \
+            --l 30 --count 12 --seed 11 --buffer-pages 8 \
+            --shards 2x2 --fault-plan plans/torn-write.plan \
+            --metrics "$out" >/dev/null 2>&1; then
+        echo "FAIL: sharded torn-write serve exited nonzero (panic?)"
+        fail=1
+    else
+        # The torn page is repaired by a shard-local restore + segment
+        # replay: counted as a recovery, never served degraded.
+        if ! grep -qE '"recoveries":[1-9]' "$out"; then
+            echo "FAIL: sharded torn write did not surface as a recovery"
+            fail=1
+        fi
+        for forbidden in '"degraded_queries":[1-9]' '"failed_queries":[1-9]' \
+                         '"degraded":true'; do
+            if grep -qE "$forbidden" "$out"; then
+                echo "FAIL: sharded torn-write run reports $forbidden"
+                fail=1
+            fi
+        done
+    fi
+    rm -f "$out"
 }
 
 # TCP front-end smoke: bind an ephemeral port, drive 10 ticks of
@@ -241,6 +266,25 @@ serve_tcp_smoke() {
         *'"error":"bad_query"'*) ;;
         *)
             echo "FAIL: out-of-horizon query not refused with bad_query: $resp"
+            fail=1
+            ;;
+    esac
+    # One query wider than --l (40 > 20): the served plane has a single
+    # leaf, so there is no cut line for a halo to cover and it must
+    # answer like the bare engine would.
+    wide='{"op":"query","rho":0.01,"l":40.0,"q_t":1}'
+    header="$(printf '\\x%02x' 0 0 0 "${#wide}")"
+    resp=""
+    if exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"; then
+        # shellcheck disable=SC2059 # header holds \x escapes
+        printf "$header%s" "$wide" >&3
+        IFS= read -r -t 5 -d '}' -u 3 resp
+        exec 3<&- 3>&-
+    fi
+    case "$resp" in
+        *'"ok":true'*) ;;
+        *)
+            echo "FAIL: query wider than --l refused by the default plane: $resp"
             fail=1
             ;;
     esac
