@@ -17,17 +17,19 @@
 //! (`EngineSpec::Sharded`, `--shards 1x1` by default — bit-identical to
 //! the bare engine). The plane's per-leaf WAL segments and stored
 //! checkpoints are the one durability path: detected corruption is
-//! repaired shard-locally from them.
+//! repaired shard-locally from them. Every `--journal` ticks (default
+//! 5) the planes refresh their checkpoints, which turns on ingest-crash
+//! recovery (the crashed shards restore and replay their segment tails)
+//! and keeps each segment to two checkpoint intervals of records;
+//! `--journal 0` turns both off, and a crashed engine then serves
+//! offline-degraded.
 //!
 //! `serve --fault-plan FILE` installs a deterministic fault-injection
 //! schedule beneath the FR engine's storage plane (see
-//! [`FaultPlan::parse`] for the grammar) and turns on ingest-crash
-//! recovery with a plane checkpoint every `--journal` ticks (default
-//! 5), so an ingest crash restores the crashed shards and replays their
-//! segment tails; `--journal 0` turns it off, and a crashed engine then
-//! serves offline-degraded. Pair it with `--buffer-pages` small enough
-//! that the index actually pages — a pool that fits the working set
-//! never performs the physical I/O faults are injected into.
+//! [`FaultPlan::parse`] for the grammar). Pair it with `--buffer-pages`
+//! small enough that the index actually pages — a pool that fits the
+//! working set never performs the physical I/O faults are injected
+//! into.
 //!
 //! All engines are constructed through [`EngineSpec`] and queried
 //! through the [`DensityEngine`](pdr_core::DensityEngine) trait — the
@@ -480,17 +482,16 @@ fn cmd_serve(o: &Options) -> Result<(), String> {
         eprintln!("# engines sharded {sx}x{sy} (halo l/2, per-shard WAL segments)");
     }
 
+    // The checkpoint cadence recovers ingest crashes and keeps every
+    // segment to two intervals, so a long-running server's log stays
+    // bounded. `--journal 0` turns both off.
+    if o.journal > 0 {
+        driver.enable_journal(o.journal);
+    }
     if let Some(path) = &o.fault_plan {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("reading fault plan {path}: {e}"))?;
         let plan = FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        // Recovery first: the planes' segments and refreshed
-        // checkpoints make ingest crashes recoverable once faults start
-        // firing. `--journal 0` turns recovery off, so a crashed engine
-        // serves offline-degraded instead.
-        if o.journal > 0 {
-            driver.enable_journal(o.journal);
-        }
         driver.install_fault_plan("fr", plan);
         eprintln!("# fault plan {path} installed beneath the fr storage plane");
     }

@@ -692,4 +692,126 @@ mod tests {
         let err = replica.ingest(&ship).unwrap_err();
         assert!(matches!(err, RecoverError::Mismatch(_)));
     }
+
+    /// A tick's worth of fresh inserts for the steady-state tests.
+    fn tick_batch(t: u64) -> Vec<Update> {
+        (0..6u64)
+            .map(|i| {
+                Update::insert(
+                    ObjectId(100 + t * 10 + i),
+                    t,
+                    MotionState::new(
+                        Point::new(10.0 + i as f64 * 12.0, 40.0 + t as f64 * 3.0),
+                        Point::new(-0.3, 0.4),
+                        t,
+                    ),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn wide_subscription_degrades_once_a_bootstrap_cuts_the_plane() {
+        // A lone replica leaf admits a subscription wider than the
+        // halo; the primary then splits (it holds no such
+        // subscription), and the next sync reshapes the replica onto
+        // the cut partition. The subscription must be marked degraded,
+        // never patched with rects that undercount at the cut lines.
+        let mut primary = plane(1, 1);
+        primary.bulk_load(&seed_objects(), 0);
+        let mut replica = Replica::new(plane(1, 1));
+        replica
+            .ingest(&primary.wal_since(replica.applied_epoch(), &[]))
+            .expect("bootstrap");
+        let wide = 20.0;
+        assert!(wide > replica.plane().l_max());
+        let id = replica
+            .register_subscription(
+                0.02,
+                wide,
+                Rect::new(0.0, 0.0, 100.0, 100.0),
+                QtPolicy::NowPlus(0),
+            )
+            .expect("a lone leaf has no cut line");
+        let first = replica.maintain_subscriptions(0);
+        assert!(first.iter().all(|d| !d.degraded), "{first:?}");
+
+        primary
+            .split_shard(0)
+            .expect("the primary has no wide subscription");
+        primary.advance_to(1);
+        primary.apply_batch(&tick_batch(1));
+        let rep = replica
+            .ingest(&primary.wal_since(replica.applied_epoch(), replica.applied_offsets()))
+            .expect("bootstrap across the split");
+        assert!(rep.bootstrapped);
+        assert_eq!(replica.plane().map().shards(), 4);
+        let deltas = replica.maintain_subscriptions(1);
+        let delta = deltas
+            .iter()
+            .find(|d| d.id == id)
+            .expect("a delta for the sub");
+        assert!(delta.degraded, "{delta:?}");
+        assert!(delta.added.is_empty() && delta.removed.is_empty());
+        let table = replica
+            .subscriptions()
+            .expect("a replica carries subscriptions");
+        assert_eq!(table.is_degraded(id), Some(true));
+        assert!(replica.check_query_edge(wide, None).is_err());
+    }
+
+    #[test]
+    fn refreshes_bound_segments_and_keep_synced_replicas_incremental() {
+        let mut primary = plane(2, 2);
+        primary.bulk_load(&seed_objects(), 0);
+        let mut steady = Replica::new(plane(2, 2));
+        steady
+            .ingest(&primary.wal_since(steady.applied_epoch(), &[]))
+            .expect("bootstrap");
+        let mut lagging = Replica::new(plane(2, 2));
+        lagging
+            .ingest(&primary.wal_since(lagging.applied_epoch(), &[]))
+            .expect("bootstrap");
+        let retained = |p: &ShardedEngine| -> usize {
+            let json = p.shard_metrics_json().expect("a plane reports shards");
+            json.split("\"wal_bytes\":")
+                .skip(1)
+                .map(|rest| {
+                    rest.split(|c: char| !c.is_ascii_digit())
+                        .next()
+                        .and_then(|n| n.parse::<usize>().ok())
+                        .expect("a byte count")
+                })
+                .sum()
+        };
+        let mut peak = 0;
+        for t in 1..=20u64 {
+            primary.advance_to(t);
+            primary.apply_batch(&tick_batch(t));
+            if t % 4 == 0 {
+                primary.refresh_checkpoints();
+            }
+            // Synced every tick: every shipment stays incremental across
+            // the refreshes that discard segment prefixes.
+            let ship = primary.wal_since(steady.applied_epoch(), steady.applied_offsets());
+            assert!(ship.checkpoint.is_none(), "tick {t}: incremental");
+            steady.ingest(&ship).expect("delta");
+            assert_eq!(steady.applied_offsets(), primary.wal_offsets());
+            if t > 8 {
+                peak = peak.max(retained(&primary));
+            }
+        }
+        probe(&primary, &steady, 20);
+        // Written bytes grow with every tick; retained ones stay within
+        // two checkpoint intervals.
+        let written: usize = primary.wal_offsets().iter().sum();
+        assert!(peak * 2 < written, "retained {peak} of {written} bytes");
+        // A replica behind a discarded prefix re-bootstraps from the
+        // last mark's checkpoint plus the retained tail, and converges.
+        let rep = lagging
+            .ingest(&primary.wal_since(lagging.applied_epoch(), lagging.applied_offsets()))
+            .expect("re-bootstrap");
+        assert!(rep.bootstrapped);
+        probe(&primary, &lagging, 20);
+    }
 }

@@ -673,7 +673,7 @@ impl ShardPlane {
         let faults = s.engine.fault_stats();
         s.engine.restore_from(cp).map_err(|_| ())?;
         s.banked_faults += faults;
-        let tail = replay(&s.wal.bytes()[s.checkpoint_offset..]).map_err(|_| ())?;
+        let tail = replay(s.wal.tail(s.checkpoint_offset).ok_or(())?).map_err(|_| ())?;
         for rec in tail.records {
             match rec {
                 WalRecord::Advance(t) => s.engine.advance_to(t),
@@ -742,9 +742,9 @@ pub struct ShardedEngine {
     horizon: TimeHorizon,
     t_base: Timestamp,
     threads: usize,
-    /// The largest neighborhood edge the halo was sized for. Queries
-    /// and subscriptions with `l > l_max` are refused — the halo cannot
-    /// cover them and density would silently be lost at cut lines.
+    /// The largest neighborhood edge the halo was sized for; see
+    /// [`covers_edge`](Self::covers_edge) for which edges are served
+    /// (wider ones lose density at a cut line the halo cannot cover).
     l_max: f64,
     plane: Arc<ShardPlane>,
     /// Plane-level registry; each subscription is also registered (same
@@ -800,7 +800,8 @@ impl ShardedEngine {
     /// Builds the plane: `build(i)` constructs shard `i`'s inner engine
     /// (each one a full-domain engine that will simply see a routed
     /// subset of the traffic). `l_max` is the largest neighborhood edge
-    /// the map's halo was sized for; larger queries are refused.
+    /// the map's halo was sized for; larger queries are refused unless
+    /// the plane is a lone leaf without a split policy (no cut line).
     ///
     /// # Panics
     ///
@@ -814,28 +815,9 @@ impl ShardedEngine {
         l_max: f64,
         build: impl FnMut(usize) -> Box<dyn DensityEngine> + Send + Sync + 'static,
     ) -> Self {
-        Self::with_partition(
-            name,
-            Partition::from_grid(&map),
-            horizon,
-            t_start,
-            threads,
-            l_max,
-            Box::new(build),
-        )
-    }
-
-    /// Builds the plane over an explicit [`Partition`]; [`new`](Self::new)
-    /// is the grid-shaped convenience wrapper.
-    pub fn with_partition(
-        name: &'static str,
-        part: Partition,
-        horizon: TimeHorizon,
-        t_start: Timestamp,
-        threads: usize,
-        l_max: f64,
-        mut builder: Box<dyn FnMut(usize) -> Box<dyn DensityEngine> + Send + Sync>,
-    ) -> Self {
+        let part = Partition::from_grid(&map);
+        let mut builder: Box<dyn FnMut(usize) -> Box<dyn DensityEngine> + Send + Sync> =
+            Box::new(build);
         assert!(
             l_max.is_finite() && l_max > 0.0,
             "l_max must be a positive finite edge length, got {l_max}"
@@ -966,10 +948,16 @@ impl ShardedEngine {
     /// bounding shard-local replay work. Called automatically after
     /// [`bulk_load`](DensityEngine::bulk_load) and topology changes; a
     /// serving loop calls it on its own checkpoint cadence.
+    /// Each segment also drops its records before the *previous* mark,
+    /// so it holds at most two intervals: recovery replays past the new
+    /// mark, and a replica synced since the previous one stays
+    /// incremental (one further behind bootstraps).
     pub fn refresh_checkpoints(&mut self) {
         for i in 0..self.plane.shards.len() {
             let mut s = self.plane.write_shard(i);
             if let Some(cp) = s.engine.checkpoint() {
+                let previous = s.checkpoint_offset;
+                s.wal.discard_before(previous);
                 s.checkpoint = Some(cp);
                 s.checkpoint_offset = s.wal.offset();
             }
@@ -1184,7 +1172,8 @@ impl ShardedEngine {
     /// segment's tail from its checkpoint mark. A `(epoch, from)` that
     /// no longer matches this plane — a stale epoch (the primary
     /// restored and its segments reset), wrong shard count, an offset
-    /// past the segment end, or one inside the segment header — also
+    /// past the segment end, inside the segment header or in a prefix a
+    /// [refresh](Self::refresh_checkpoints) discarded — also
     /// falls back to a bootstrap shipment, so a replica can always
     /// converge by re-ingesting.
     pub fn wal_since(&self, epoch: u64, from: &[usize]) -> LogShipment {
@@ -1193,7 +1182,7 @@ impl ShardedEngine {
             && from.len() == n
             && (0..n).all(|i| {
                 let s = self.plane.read_shard(i);
-                from[i] >= SEGMENT_HEADER_LEN && from[i] <= s.wal.offset()
+                from[i] >= SEGMENT_HEADER_LEN && s.wal.tail(from[i]).is_some()
             });
         if incremental {
             let segments = (0..n)
@@ -1202,7 +1191,7 @@ impl ShardedEngine {
                     ShippedSegment {
                         shard: self.plane.part.leaves()[i].id,
                         start: from[i],
-                        bytes: s.wal.bytes()[from[i]..].to_vec(),
+                        bytes: s.wal.tail(from[i]).expect("checked above").to_vec(),
                     }
                 })
                 .collect();
@@ -1239,7 +1228,7 @@ impl ShardedEngine {
                 ShippedSegment {
                     shard: self.plane.part.leaves()[i].id,
                     start: starts[i],
-                    bytes: s.wal.bytes()[starts[i]..].to_vec(),
+                    bytes: s.wal.tail(starts[i]).expect("marks are kept").to_vec(),
                 }
             })
             .collect();
@@ -1427,7 +1416,10 @@ impl ShardedEngine {
             (
                 self.plane.part.leaves()[idx].id,
                 s.checkpoint.clone(),
-                s.wal.bytes()[s.checkpoint_offset..].to_vec(),
+                s.wal
+                    .tail(s.checkpoint_offset)
+                    .expect("marks are kept")
+                    .to_vec(),
             )
         };
         // Each child's ingest region under the post-split geometry,
@@ -2008,7 +2000,8 @@ impl DensityEngine for ShardedEngine {
         // split/merge, or a restore after a topology change — the plane
         // is re-shaped: fresh inner engines are minted by the stored
         // builder and every plane-level subscription re-routes to the
-        // new owner set (with a resync marker on its next patch).
+        // new owner set (with a resync marker on its next patch); one
+        // wider than the halo is then marked degraded, never patched.
         let reshape = self.plane.part.leaves() != part.leaves();
         if reshape {
             let shards = (0..n)
@@ -2213,11 +2206,13 @@ impl DensityEngine for ShardedEngine {
             // merged rect list bit-identical to the unsharded one. A
             // degraded owner cannot vouch for its sub-domain, so the
             // subscription is marked degraded rather than patched with
-            // rects that may be wrong.
+            // rects that may be wrong. So is one wider than the halo on
+            // a cut plane (a lone leaf admitted it, then a restore
+            // reshaped the plane); `owners` is never empty.
             let mut parts: Vec<(RegionSet, Rect)> = Vec::with_capacity(owners.len());
             let mut degraded = false;
             for &i in &owners {
-                if self.plane.degraded[i].load(Ordering::Acquire) {
+                if !self.covers_edge(sub.l) || self.plane.degraded[i].load(Ordering::Acquire) {
                     degraded = true;
                     break;
                 }

@@ -83,6 +83,9 @@ pub struct Wal {
     records: u64,
     codec: WalCodec,
     allocs: u64,
+    /// Record bytes a segment dropped from just past its header
+    /// ([`Wal::discard_before`]); offsets stay absolute across it.
+    discarded: usize,
 }
 
 impl Wal {
@@ -104,14 +107,42 @@ impl Wal {
         self.codec
     }
 
-    /// The raw encoded log (what would be on disk).
+    /// The raw encoded log (what would be on disk), less any discarded prefix.
     pub fn bytes(&self) -> &[u8] {
         self.log.as_slice()
     }
 
-    /// Current end offset — a checkpoint taken now replays from here.
+    /// Current absolute end offset — a checkpoint taken now replays from here.
     pub fn offset(&self) -> usize {
-        self.log.len()
+        self.discarded + self.log.len()
+    }
+
+    /// The log from absolute offset `from` to its end; `None` when
+    /// `from` lies past the end or inside a discarded prefix.
+    pub fn tail(&self, from: usize) -> Option<&[u8]> {
+        let at = match self.discarded {
+            0 => from,
+            d => from.checked_sub(d).filter(|&at| at >= SEGMENT_HEADER_LEN)?,
+        };
+        self.bytes().get(at..)
+    }
+
+    /// Drops a segment's records before absolute offset `to` (a record
+    /// boundary, such as an earlier checkpoint mark), keeping the
+    /// header; later offsets stay valid. Bounds a segment's memory to
+    /// what recovery and log shipping can still ask for.
+    pub fn discard_before(&mut self, to: usize) {
+        debug_assert!(self.log.as_slice().starts_with(SEG_MAGIC), "not a segment");
+        let at = to.saturating_sub(self.discarded);
+        if at <= SEGMENT_HEADER_LEN || at > self.log.len() {
+            return;
+        }
+        let old = self.log.as_slice();
+        let mut log = ByteWriter::with_capacity(SEGMENT_HEADER_LEN + old.len() - at);
+        log.put_bytes(&old[..SEGMENT_HEADER_LEN]);
+        log.put_bytes(&old[at..]);
+        self.discarded += at - SEGMENT_HEADER_LEN;
+        self.log = log;
     }
 
     /// Records appended so far.
@@ -726,14 +757,8 @@ pub fn encode_segment_header(h: SegmentHeader) -> Vec<u8> {
 }
 
 impl Wal {
-    /// An empty per-shard segment: its byte stream starts with the
-    /// encoded [`SegmentHeader`]. Writes codec1 records; see
-    /// [`Wal::new_segment_with`].
-    pub fn new_segment(header: SegmentHeader) -> Self {
-        Wal::new_segment_with(header, WalCodec::V1)
-    }
-
-    /// An empty per-shard segment writing the given record codec.
+    /// An empty per-shard segment writing the given record codec: its
+    /// byte stream starts with the encoded [`SegmentHeader`].
     pub fn new_segment_with(header: SegmentHeader, codec: WalCodec) -> Self {
         let mut log = ByteWriter::with_capacity(SEGMENT_HEADER_LEN);
         log.put_bytes(&encode_segment_header(header));
@@ -742,6 +767,7 @@ impl Wal {
             records: 0,
             codec,
             allocs: 0,
+            discarded: 0,
         }
     }
 }

@@ -605,13 +605,6 @@ impl ServeDriver {
         self.delta_feed = true;
     }
 
-    /// Sets the fault-handling policy (builder style).
-    pub fn with_policy(mut self, policy: FaultPolicy) -> Self {
-        self.policy = policy;
-        self.rng = policy.seed | 1;
-        self
-    }
-
     /// Turns on ingest-crash recovery, refreshing every sharded
     /// plane's stored checkpoints once every `every` ticks (the plane's
     /// WAL segments already log every mutation, and
@@ -619,6 +612,8 @@ impl ServeDriver {
     /// A fault-caused ingest panic then restores the crashed shards and
     /// replays their segment tails instead of taking the engine
     /// offline-degraded. Engines that are not planes stay unrecoverable.
+    /// Without the refreshes, which also bound the segments
+    /// ([`ShardedEngine::refresh_checkpoints`]), segments keep growing.
     pub fn enable_journal(&mut self, every: u64) {
         assert!(every > 0, "checkpoint cadence must be positive");
         self.checkpoint_every = every;
@@ -1210,9 +1205,11 @@ impl ServeDriver {
                     load.stats = s.engine.stats();
                     load.latency = s.latency.snapshot();
                     // The plane banks the counters of devices its
-                    // recoveries replaced, so these are run totals.
+                    // recoveries replaced, so these are run totals (a
+                    // replica's plane recovers on query corruption too).
                     load.faults = s.engine.fault_stats();
-                    if let Some(plane) = s.engine.as_sharded() {
+                    let replica = s.engine.as_replica().map(|r| r.plane());
+                    if let Some(plane) = s.engine.as_sharded().or(replica) {
                         load.recovery_us = plane.recovery_us();
                         load.recoveries = load.recovery_us.count;
                     }
